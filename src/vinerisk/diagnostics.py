@@ -19,6 +19,26 @@ from .latent import normal_scores, ordinal_thresholds, polyserial_rho
 from .vine import VineModel, model_spearman
 
 MIN_CATEGORY_ROWS = 3
+#: Bootstrap resample counts are held this many cells (replicates x rows) at
+#: a time, which bounds memory on large inputs.
+BLOCK_CELLS = 1 << 21
+
+
+def _columns(x, y, z) -> list:
+    """``x``, ``y`` and ``z`` as float arrays, checked to be finite, 1-D and
+    equally long, with integer category codes in ``z``."""
+    cols = [np.asarray(v, dtype=float) for v in (x, y, z)]
+    if any(c.ndim != 1 for c in cols):
+        raise ValueError("x, y and z must be 1-D")
+    if not all(np.all(np.isfinite(c)) for c in cols):
+        raise ValueError("x, y and z must be finite")
+    if np.any(cols[2] != np.round(cols[2])):
+        raise ValueError("z must hold integer category codes")
+    if len({c.size for c in cols}) != 1:
+        raise ValueError(
+            f"x, y and z differ in length ({cols[0].size}, {cols[1].size}, {cols[2].size})"
+        )
+    return cols
 
 
 def conditional_spearman(x, y, z) -> dict:
@@ -28,9 +48,7 @@ def conditional_spearman(x, y, z) -> dict:
     are degenerate ones (a constant column leaves rho undefined).  Midranks
     handle ties.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
+    x, y, z = _columns(x, y, z)
     out = {}
     for cat in np.unique(z):
         mask = z == cat
@@ -70,6 +88,43 @@ class ConditionalRhoResult:
         return out
 
 
+def _midranks(values, counts) -> np.ndarray:
+    """Rank of each row's value within each resample, ties sharing midranks.
+
+    ``counts[r, i]`` is how often resample ``r`` drew row ``i``.  A value
+    drawn ``w`` times after ``c`` draws of smaller values spans ranks
+    ``c+1 .. c+w`` and gets their mean, as ``scipy.stats.rankdata`` would
+    give it in the expanded resample.
+    """
+    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    order = np.argsort(group, kind="stable")
+    upto = np.cumsum(counts[:, order], axis=1)[:, np.cumsum(sizes) - 1]
+    below = np.zeros_like(upto)
+    below[:, 1:] = upto[:, :-1]
+    return ((below + upto + 1.0) / 2.0)[:, group]
+
+
+def _resample_spearman(x, y, counts) -> np.ndarray:
+    """Spearman's rho of ``(x, y)`` in each usable resample given by ``counts``.
+
+    Rho is the count-weighted Pearson correlation of midranks.  A resample
+    is unusable when it holds fewer than ``MIN_CATEGORY_ROWS`` draws or
+    either column is constant; those are left out, as in
+    :func:`conditional_spearman`.  Ranks and their mean ``(N+1)/2`` are
+    multiples of 1/2, so the deviations are exact: a constant column has a
+    sum of squares of exactly zero and any other column a positive one.
+    """
+    draws = counts.sum(axis=1)
+    mean = (draws[:, None] + 1.0) / 2.0
+    dx = _midranks(x, counts) - mean
+    dy = _midranks(y, counts) - mean
+    sxx = (counts * dx * dx).sum(axis=1)
+    syy = (counts * dy * dy).sum(axis=1)
+    sxy = (counts * dx * dy).sum(axis=1)
+    ok = (draws >= MIN_CATEGORY_ROWS) & (sxx > 0.0) & (syy > 0.0)
+    return np.clip(sxy[ok] / np.sqrt(sxx[ok] * syy[ok]), -1.0, 1.0)
+
+
 def bootstrap_bands(
     x,
     y,
@@ -81,32 +136,42 @@ def bootstrap_bands(
     """Percentile bootstrap band for the conditional Spearman per category.
 
     Rows are resampled with replacement; replicates where a category falls
-    under the minimum size are skipped for that category.
+    under the minimum size or has a constant column are skipped for that
+    category.  Each replicate is one ``rng.integers(0, n, size=n)`` draw, the
+    same seed stream as resampling rows one replicate at a time, but it is
+    kept as per-row counts: rho within a category is the count-weighted
+    Pearson correlation of midranks taken from cumulative counts over the
+    category's sorted distinct values (the multinomial-weights form of the
+    nonparametric bootstrap, Efron & Tibshirani 1993, ch. 6).  All
+    replicates of a block are computed in one vectorised pass.
     """
     if replicates < 100:
         raise ValueError("need at least 100 bootstrap replicates")
     if not 0.0 < level < 1.0:
         raise ValueError("band level must lie in (0, 1)")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
+    x, y, z = _columns(x, y, z)
     n = x.size
     observed = conditional_spearman(x, y, z)
     cats = sorted(observed)
+    rows = {cat: z == cat for cat in cats}
     rng = np.random.default_rng(seed)
     draws: dict = {cat: [] for cat in cats}
-    for _ in range(replicates):
-        idx = rng.integers(0, n, size=n)
-        rep = conditional_spearman(x[idx], y[idx], z[idx])
+    block = max(1, BLOCK_CELLS // max(n, 1))
+    for start in range(0, replicates, block):
+        counts = np.stack(
+            [
+                np.bincount(rng.integers(0, n, size=n), minlength=n)
+                for _ in range(min(block, replicates - start))
+            ]
+        )
         for cat in cats:
-            if cat in rep:
-                draws[cat].append(rep[cat])
+            r = rows[cat]
+            draws[cat].append(_resample_spearman(x[r], y[r], counts[:, r]))
     tail = (1.0 - level) / 2.0
     lower = {}
     upper = {}
     for cat in cats:
-        vals = np.asarray(draws[cat], dtype=float)
-        vals = vals[np.isfinite(vals)]
+        vals = np.concatenate(draws[cat])
         if vals.size == 0:
             lower[cat] = upper[cat] = observed[cat]
             continue

@@ -45,9 +45,5 @@ class NearSingular(VineRiskError):
     """A (partial) correlation too close to +/-1 for stable recursion."""
 
 
-class NotFitted(VineRiskError):
-    """The model has not been fit / required component absent."""
-
-
 class NoConvergence(VineRiskError):
     """An iterative numerical routine failed to converge."""

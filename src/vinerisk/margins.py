@@ -195,9 +195,6 @@ class OrdinalMargin:
     def pdf(self, x):
         return self.probs[self._codes(x) - 1]
 
-    # alias: for ordinal margins the "density" is the pmf
-    pmf = pdf
-
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return np.searchsorted(self._cum, u, side="left") + 1.0

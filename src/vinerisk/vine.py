@@ -8,6 +8,8 @@ follows the usual recipe: a maximum spanning tree per level on absolute
 (partial) latent correlations under the proximity condition.  Families and
 the truncation level are chosen by a Bayesian-flavoured information
 criterion with a geometrically decaying prior on non-independence edges.
+Margins are evaluated once per distinct value of each column and scattered
+back to the rows, so grids whose rows share values cost no repeated work.
 """
 
 from __future__ import annotations
@@ -265,11 +267,17 @@ class _Col:
     disc: bool
 
 
-def _init_cols(margins, x) -> dict:
+def _distinct_columns(x) -> list:
+    """``(values, inverse)`` per column: its distinct values and the index
+    that scatters results on them back to the rows."""
+    return [np.unique(x[:, j], return_inverse=True) for j in range(x.shape[1])]
+
+
+def _init_cols(margins, distinct) -> dict:
     cols = {}
-    for j, m in enumerate(margins):
-        up = np.asarray(m.cdf(x[:, j]), dtype=float)
-        lo = np.asarray(m.cdf_left(x[:, j]), dtype=float) if m.is_discrete else up
+    for j, (m, (values, inverse)) in enumerate(zip(margins, distinct)):
+        up = np.asarray(m.cdf(values), dtype=float)[inverse]
+        lo = np.asarray(m.cdf_left(values), dtype=float)[inverse] if m.is_discrete else up
         cols[(j, frozenset())] = _Col(up=up, lo=lo, disc=m.is_discrete)
     return cols
 
@@ -453,7 +461,7 @@ def fit_vine(
         raise TooFewObservations(f"vine fit needs at least 10 rows, got {n}")
     if d != structure.d or len(margins) != d:
         raise ValueError("margins/structure dimension mismatch")
-    cols = _init_cols(margins, x)
+    cols = _init_cols(margins, _distinct_columns(x))
     trees: list[list[FittedEdge]] = []
     truncation = 0
     for level, tree in enumerate(structure.trees, start=1):
@@ -494,11 +502,12 @@ def vine_logdensity(model: VineModel, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.d:
         raise ValueError(f"expected {model.d} columns, got {x.shape[1]}")
+    distinct = _distinct_columns(x)
     logf = np.zeros(x.shape[0])
-    for j, m in enumerate(model.margins):
-        dens = np.asarray(m.pdf(x[:, j]), dtype=float)
-        logf += np.log(np.maximum(dens, 1e-300))
-    cols = _init_cols(model.margins, x)
+    for m, (values, inverse) in zip(model.margins, distinct):
+        dens = np.asarray(m.pdf(values), dtype=float)
+        logf += np.log(np.maximum(dens, 1e-300))[inverse]
+    cols = _init_cols(model.margins, distinct)
     for level, tree in enumerate(model.trees, start=1):
         for fe in tree:
             a, b = fe.edge.conditioned

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from vinerisk import diagnostics
 from vinerisk.bicop import Bicop
 from vinerisk.diagnostics import (
     MIN_CATEGORY_ROWS,
@@ -56,6 +57,105 @@ class TestConditionalSpearman:
         assert out == {1: -1.0, 2: -1.0}
 
 
+def _loop_bands(x, y, z, replicates, level, seed):
+    """Reference: resample rows and rerun ``conditional_spearman`` per replicate."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    n = x.size
+    observed = conditional_spearman(x, y, z)
+    cats = sorted(observed)
+    rng = np.random.default_rng(seed)
+    draws = {cat: [] for cat in cats}
+    for _ in range(replicates):
+        idx = rng.integers(0, n, size=n)
+        rep = conditional_spearman(x[idx], y[idx], z[idx])
+        for cat in cats:
+            if cat in rep:
+                draws[cat].append(rep[cat])
+    tail = (1.0 - level) / 2.0
+    lower, upper = {}, {}
+    for cat in cats:
+        vals = np.asarray(draws[cat], dtype=float)
+        vals = vals[np.isfinite(vals)]
+        if vals.size == 0:
+            lower[cat] = upper[cat] = observed[cat]
+            continue
+        lower[cat] = float(np.quantile(vals, tail))
+        upper[cat] = float(np.quantile(vals, 1.0 - tail))
+    return cats, lower, upper
+
+
+def _rounded():
+    """Rounded normals: each category holds only a handful of distinct values."""
+    x, y, z = _cond_pair(300, 0.6, seed=2)
+    return np.round(x), np.round(y), z
+
+
+def _sparse_tied():
+    """60 rows of few distinct values; categories 3 and 4 hold 6 and 3 rows."""
+    rng = np.random.default_rng(17)
+    x = np.round(rng.normal(size=60))
+    y = np.round(rng.normal(size=60))
+    z = np.repeat([1.0, 2.0, 3.0, 4.0], [39, 12, 6, 3])
+    x[-3:] = [0.0, 0.0, 1.0]
+    y[-3:] = [1.0, 0.0, 0.0]
+    return x, y, z
+
+
+class TestBootstrapEquivalence:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _cond_pair(450, 0.5, seed=1),
+            _rounded(),
+            _sparse_tied(),
+        ],
+        ids=["continuous", "tied", "sparse"],
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_per_replicate_loop(self, data, seed):
+        x, y, z = data
+        cats, lower, upper = _loop_bands(x, y, z, 400, 0.9, seed)
+        res = bootstrap_bands(x, y, z, replicates=400, level=0.9, seed=seed)
+        assert res.categories == cats
+        for cat in cats:
+            assert abs(res.lower[cat] - lower[cat]) <= 1e-12
+            assert abs(res.upper[cat] - upper[cat]) <= 1e-12
+
+    def test_blocks_of_replicates_give_the_same_band(self, monkeypatch):
+        x, y, z = _rounded()
+        whole = bootstrap_bands(x, y, z, replicates=250, seed=3)
+        monkeypatch.setattr(diagnostics, "BLOCK_CELLS", 7 * x.size)
+        blocked = bootstrap_bands(x, y, z, replicates=250, seed=3)
+        assert blocked.lower == whole.lower and blocked.upper == whole.upper
+
+    def test_sparse_data_exercises_both_skip_rules(self):
+        x, y, z = _sparse_tied()
+        rng = np.random.default_rng(0)
+        short = constant = 0
+        for _ in range(400):
+            idx = rng.integers(0, z.size, size=z.size)
+            xs, ys = x[idx][z[idx] == 4.0], y[idx][z[idx] == 4.0]
+            if xs.size < MIN_CATEGORY_ROWS:
+                short += 1
+            elif np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
+                constant += 1
+        assert short > 0 and constant > 0
+
+    def test_band_collapses_to_observed_without_usable_replicates(self, monkeypatch):
+        class SameRow:
+            """Draws row 0 every time, so each replicate is constant or empty."""
+
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+        x, y, z = _cond_pair(90, 0.5, seed=4)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: SameRow())
+        res = bootstrap_bands(x, y, z, replicates=100, seed=0)
+        cats, lower, upper = _loop_bands(x, y, z, 100, 0.9, 0)
+        assert res.categories == cats == [1, 2, 3]
+        assert res.lower == res.upper == res.observed == lower == upper
+
+
 class TestBootstrapBands:
     def test_deterministic_under_seed(self):
         x, y, z = _cond_pair(150, 0.5, seed=1)
@@ -97,6 +197,36 @@ class TestBootstrapBands:
             bootstrap_bands(x, y, z, replicates=50)
         with pytest.raises(ValueError):
             bootstrap_bands(x, y, z, level=1.0)
+
+    @pytest.mark.parametrize("fn", [conditional_spearman, bootstrap_bands])
+    def test_rejects_columns_of_unequal_length(self, fn):
+        x, y, z = _cond_pair(50, 0.2, seed=0)
+        with pytest.raises(ValueError, match="differ in length"):
+            fn(x, y, z[:-1])
+        with pytest.raises(ValueError, match="differ in length"):
+            fn(x[:-1], y, z)
+
+    @pytest.mark.parametrize("fn", [conditional_spearman, bootstrap_bands])
+    def test_rejects_columns_that_are_not_1d(self, fn):
+        x, y, z = _cond_pair(50, 0.2, seed=0)
+        with pytest.raises(ValueError, match="1-D"):
+            fn(x.reshape(10, 5), y, z)
+        with pytest.raises(ValueError, match="1-D"):
+            fn(x, y, z[:, None])
+
+    @pytest.mark.parametrize("fn", [conditional_spearman, bootstrap_bands])
+    def test_rejects_non_finite_values(self, fn):
+        x, y, z = _cond_pair(50, 0.2, seed=0)
+        x[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fn(x, y, z)
+
+    @pytest.mark.parametrize("fn", [conditional_spearman, bootstrap_bands])
+    def test_rejects_non_integer_categories(self, fn):
+        x, y, z = _cond_pair(50, 0.2, seed=0)
+        z[z == 2.0] = 1.5
+        with pytest.raises(ValueError, match="integer category"):
+            fn(x, y, z)
 
 
 def _toy_vine():

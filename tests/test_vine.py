@@ -9,7 +9,9 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from vinerisk.bicop import Bicop, tau_to_param
 from vinerisk.errors import TooFewObservations
-from vinerisk.margins import KernelMargin, OrdinalMargin
+from vinerisk.classifier import ClassifierModel, posterior
+from vinerisk.data import Schema, VariableSpec
+from vinerisk.margins import EmpiricalMargin, KernelMargin, OrdinalMargin
 from vinerisk.vine import (
     Edge,
     FitConfig,
@@ -349,3 +351,65 @@ class TestReportAndSerialization:
         pts = np.column_stack([np.linspace(-2, 2, 9), np.tile([1.0, 2.0], 5)[:9]])
         assert_array_equal(vine_logdensity(back, pts), vine_logdensity(model, pts))
         assert back.truncation == model.truncation
+
+
+def _three_margin_vine(seed):
+    """Fitted vine with a kernel, an empirical and an ordinal margin."""
+    rng = np.random.default_rng(seed)
+    corr = [[1.0, 0.6, 0.4], [0.6, 1.0, 0.5], [0.4, 0.5, 1.0]]
+    z = rng.multivariate_normal(np.zeros(3), corr, size=300)
+    codes = (np.digitize(z[:, 2], [-0.5, 0.5]) + 1).astype(float)
+    x = np.column_stack([z[:, 0], z[:, 1], codes])
+    margins = [
+        KernelMargin.fit(x[:, 0]),
+        EmpiricalMargin.fit(x[:, 1]),
+        OrdinalMargin.fit(codes, 3),
+    ]
+    model = fit_vine(x, margins, _chain_structure(3), FitConfig())
+    assert model.truncation >= 1
+    return model
+
+
+def _repeated_grid():
+    """Rows built from few values per column, so every value repeats."""
+    a, b, c = np.meshgrid(np.linspace(-2, 2, 6), np.linspace(-1.5, 1.5, 4), [1.0, 2.0, 3.0])
+    grid = np.column_stack([a.ravel(), b.ravel(), c.ravel()])
+    return np.vstack([grid, grid[::-1]])
+
+
+class TestPerDistinctMargins:
+    def test_logdensity_and_posterior_match_rowwise_evaluation(self):
+        vines = [_three_margin_vine(41), _three_margin_vine(42)]
+        grid = _repeated_grid()
+        for model in vines:
+            rowwise = np.concatenate([vine_logdensity(model, row[None, :]) for row in grid])
+            assert_array_equal(vine_logdensity(model, grid), rowwise)
+        schema = Schema(
+            (
+                VariableSpec("k", "continuous"),
+                VariableSpec("e", "continuous"),
+                VariableSpec("o", "ordinal", 3),
+            )
+        )
+        clf = ClassifierModel(schema=schema, classes=[0, 1], priors=[0.5, 0.5], vines=vines)
+        rowwise = np.vstack([posterior(clf, row[None, :]) for row in grid])
+        assert_array_equal(posterior(clf, grid), rowwise)
+
+    def test_margins_only_see_distinct_values(self):
+        model = _three_margin_vine(43)
+        seen = []
+
+        def recording(method):
+            def wrapper(x):
+                seen.append(np.asarray(x))
+                return method(x)
+
+            return wrapper
+
+        for m in model.margins:
+            for name in ("pdf", "cdf", "cdf_left"):
+                setattr(m, name, recording(getattr(m, name)))
+        vine_logdensity(model, _repeated_grid())
+        assert len(seen) >= 2 * model.d
+        for values in seen:
+            assert values.ndim == 1 and np.unique(values).size == values.size
