@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import integrate, optimize, stats
-from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
+from scipy.special import digamma, gammaln, ndtr, ndtri, stdtr, stdtrit, zetac
 
 from .bvn import bvn_cdf
 from .errors import NoConvergence, TooFewObservations
@@ -203,8 +203,8 @@ class _StudentT:
 
     @staticmethod
     def par_from_tau(tau):
-        # tau pins the association parameter; tail df starts at the
-        # optimizer default
+        # Kendall's tau of the t depends on rho alone (the Gaussian map), so
+        # tau fixes rho; bicop_fit profiles the degrees of freedom from 5
         return (math.sin(math.pi * tau / 2.0), 5.0)
 
     @classmethod
@@ -456,22 +456,23 @@ def _frank_theta_abs(tau: float) -> float:
     return optimize.brentq(lambda t: _frank_tau_abs(t) - tau, 1e-6, hi, xtol=1e-10)
 
 
-@lru_cache(maxsize=512)
 def _joe_tau(delta: float) -> float:
-    """Kendall tau of the Joe copula via the Archimedean generator integral."""
+    """Kendall tau of the Joe copula in closed form (Joe 2014, section 4.7):
+
+        tau = 1 + 2 / (2 - delta) * (psi(2) - psi(2 / delta + 1))
+
+    with psi the digamma function.  The removable singularity at delta = 2
+    is handled by the series of the difference quotient in h = 2/delta - 1,
+    (psi(2 + h) - psi(2)) / h = sum_k zetac(k + 1) (-h)^(k - 1), which gives
+    tau = 1 - (1 + h) * sum near delta = 2 (tau(2) = 2 - pi^2 / 6).
+    """
     if delta <= 1.0:
         return 0.0
-    expo = 2.0 / delta - 2.0
-
-    def integrand(w):
-        if w <= 0.0 or w >= 1.0:
-            return 0.0
-        return math.log1p(-w) * (1.0 - w) * w**expo
-
-    val, _ = integrate.quad(
-        integrand, 0.0, 1.0, points=[1e-6, 1e-4, 1e-2, 0.5], limit=500
-    )
-    return 1.0 + 4.0 * val / delta**2
+    if abs(delta - 2.0) < 1e-2:
+        h = (2.0 - delta) / delta
+        quotient = sum(zetac(k + 1.0) * (-h) ** (k - 1) for k in range(1, 10))
+        return 1.0 - (1.0 + h) * quotient
+    return 1.0 + 2.0 / (2.0 - delta) * (digamma(2.0) - digamma(2.0 / delta + 1.0))
 
 
 _FAM = {
@@ -799,12 +800,17 @@ def bicop_fit(
     rotation: int,
     obs: PairObs,
     min_obs: int = 10,
+    tau: Optional[float] = None,
 ) -> Bicop:
     """Maximum-likelihood fit of one family/rotation to paired pseudo-obs.
 
-    Single-parameter families use bounded Brent search, the Student-t uses
-    Nelder-Mead over (rho, df).  Both start from the tau-inversion point and
-    the fit never returns a likelihood below that starting point's.
+    The start is the tau-inversion point for Kendall's tau ``tau`` (the
+    empirical tau of ``obs`` when not given).  A bounded Brent search then
+    fits the last parameter with the others held at the start: the one
+    parameter of the one-parameter families, and for the Student-t the
+    degrees of freedom at the tau-inverted rho (a profile likelihood, as in
+    the ``itau`` estimator of Czado 2019, section 7).  The fit never
+    returns a likelihood below the start's.
     """
     if obs.n < min_obs:
         raise TooFewObservations(
@@ -813,7 +819,8 @@ def bicop_fit(
     if family == "indep":
         return INDEP
     fam = _FAM[family]
-    start = _start_params(family, rotation, empirical_tau(obs))
+    start = _start_params(family, rotation, empirical_tau(obs) if tau is None else tau)
+    fixed = start[:-1]
 
     def neg_ll(params):
         try:
@@ -822,22 +829,9 @@ def bicop_fit(
             return np.inf
         return -bicop_loglik(cop, obs)
 
-    best_p = start
-    best_val = neg_ll(start)
-    if fam.npar == 1:
-        res = optimize.minimize_scalar(
-            lambda t: neg_ll((t,)), bounds=fam.bounds[0], method="bounded"
-        )
-        if res.fun < best_val:
-            best_p, best_val = (float(res.x),), res.fun
-    else:
-        res = optimize.minimize(
-            neg_ll,
-            x0=np.asarray(start),
-            method="Nelder-Mead",
-            bounds=fam.bounds,
-            options={"xatol": 1e-6, "fatol": 1e-8, "maxiter": 500},
-        )
-        if res.fun < best_val:
-            best_p, best_val = tuple(res.x), res.fun
+    start_val = neg_ll(start)
+    res = optimize.minimize_scalar(
+        lambda t: neg_ll(fixed + (t,)), bounds=fam.bounds[-1], method="bounded"
+    )
+    best_p = fixed + (float(res.x),) if res.fun < start_val else start
     return Bicop(family, rotation, best_p)

@@ -214,6 +214,12 @@ class FitConfig:
             raise ValueError("truncation_search must be 'greedy' or 'full'")
         if not 0.0 < self.psi0 < 1.0:
             raise ValueError("psi0 must lie strictly between 0 and 1")
+        if self.indep_test_level is not None and not 0.0 < self.indep_test_level < 1.0:
+            raise ValueError("indep_test_level must be None or lie strictly between 0 and 1")
+        if self.margin_method not in ("kernel", "empirical"):
+            raise ValueError("margin_method must be 'kernel' or 'empirical'")
+        if self.priors not in ("equal", "empirical"):
+            raise ValueError("priors must be 'equal' or 'empirical'")
 
 
 def edge_penalty(level: int, npar: int, n: int, psi0: float, independence: bool) -> float:
@@ -390,7 +396,7 @@ def _fit_edge(
             return best
     for fam, rot in _edge_candidates(config.families, tau_emp, obs.u_disc or obs.v_disc):
         try:
-            cop = bicop_fit(fam, rot, obs)
+            cop = bicop_fit(fam, rot, obs, tau=tau_emp)
         except (ValueError, FloatingPointError):
             continue
         ll = bicop_loglik(cop, obs) - mass_total

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate
 
 from vinerisk.bicop import (
+    FAMILIES,
     INDEP,
     PairObs,
     ROTATABLE,
@@ -18,6 +20,7 @@ from vinerisk.bicop import (
     family_tau_range,
     param_to_tau,
     tau_to_param,
+    _joe_tau,
 )
 
 ALL_COMBOS = [("gaussian", 0), ("studentt", 0), ("frank", 0)] + [
@@ -319,6 +322,14 @@ def test_fit_studentt_recovers_rho():
     assert 2.05 <= fit.params[1] <= 30.0
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_with_given_tau_is_bitwise_equal(family):
+    s = make("gaussian", 0, 0.4).sample(400, np.random.default_rng(5))
+    obs = PairObs(u_plus=s[:, 0], v_plus=s[:, 1])
+    given = bicop_fit(family, 0, obs, tau=empirical_tau(obs))
+    assert given == bicop_fit(family, 0, obs)
+
+
 def test_fit_needs_enough_rows():
     from vinerisk.errors import TooFewObservations
 
@@ -358,3 +369,40 @@ def test_family_tau_ranges():
     lo, hi = family_tau_range("gaussian")
     assert lo < -0.99 and hi > 0.99
     assert family_tau_range("gumbel")[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Joe's Kendall tau: closed form against the generator integral
+# ---------------------------------------------------------------------------
+
+
+def _joe_tau_quad(delta):
+    """Kendall tau of the Joe copula by quadrature of the generator integral
+    ``1 + 4 / delta^2 * int_0^1 log(1 - w) (1 - w) w^(2/delta - 2) dw``."""
+    if delta <= 1.0:
+        return 0.0
+    expo = 2.0 / delta - 2.0
+
+    def integrand(w):
+        if w <= 0.0 or w >= 1.0:
+            return 0.0
+        return math.log1p(-w) * (1.0 - w) * w**expo
+
+    val, _ = integrate.quad(
+        integrand, 0.0, 1.0, points=[1e-6, 1e-4, 1e-2, 0.5], limit=500
+    )
+    return 1.0 + 4.0 * val / delta**2
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [1 + 1e-6, 1.01, 1.5, 2 - 1e-5, 2 - 1e-8, 2.0, 2 + 1e-8, 2 + 1e-5, 3.0, 7.3, 15.0, 30.0],
+)
+def test_joe_tau_closed_form_matches_integral(delta):
+    assert abs(_joe_tau(delta) - _joe_tau_quad(delta)) < 1e-9
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.3, 2.0 - math.pi**2 / 6.0, 0.6, 0.93])
+def test_joe_tau_round_trip_against_integral(tau):
+    delta = tau_to_param("joe", tau)[0]
+    assert abs(_joe_tau_quad(delta) - tau) < 1e-9

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from vinerisk.bicop import Bicop, tau_to_param
+from vinerisk import bicop as bicop_module
+from vinerisk import vine as vine_module
+from vinerisk.bicop import Bicop, PairObs, empirical_tau, tau_to_param
 from vinerisk.errors import TooFewObservations
 from vinerisk.classifier import ClassifierModel, posterior
 from vinerisk.data import Schema, VariableSpec
@@ -18,6 +20,7 @@ from vinerisk.vine import (
     FittedEdge,
     VineModel,
     VineStructure,
+    _fit_edge,
     edge_penalty,
     edge_report,
     fit_vine,
@@ -124,6 +127,25 @@ class TestSelectStructure:
         corr = np.array([[1.0, 0.7, 0.2], [0.7, 1.0, 0.5], [0.2, 0.5, 1.0]])
         s = select_structure(corr)
         assert VineStructure.from_dict(s.to_dict()).trees == s.trees
+
+
+class TestFitConfig:
+    def test_defaults_and_alternatives_are_accepted(self):
+        FitConfig()
+        FitConfig(indep_test_level=None, margin_method="empirical", priors="empirical")
+
+    def test_rejects_unknown_priors(self):
+        with pytest.raises(ValueError, match="priors"):
+            FitConfig(priors="Empirical")
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.05, 1.5, float("nan")])
+    def test_rejects_indep_test_level_outside_unit_interval(self, level):
+        with pytest.raises(ValueError, match="indep_test_level"):
+            FitConfig(indep_test_level=level)
+
+    def test_rejects_unknown_margin_method(self):
+        with pytest.raises(ValueError, match="margin_method"):
+            FitConfig(margin_method="kde")
 
 
 class TestCriterion:
@@ -286,6 +308,38 @@ class TestFitVine:
         full = fit_vine(z, margins, structure, FitConfig(truncation_search="full"))
         assert greedy.truncation == full.truncation == 1
         assert greedy.trees[0][0].bicop.to_dict() == full.trees[0][0].bicop.to_dict()
+
+    @pytest.mark.parametrize("rho,nu", [(0.6, 4.0), (-0.5, 6.0)])
+    def test_fit_edge_selects_studentt(self, rho, nu):
+        s = Bicop("studentt", 0, (rho, nu)).sample(700, np.random.default_rng(0))
+        obs = PairObs(u_plus=s[:, 0], v_plus=s[:, 1])
+        cop, _, _ = _fit_edge(obs, 1, 700, FitConfig())
+        assert cop.family == "studentt"
+        assert abs(cop.params[0] - rho) < 0.08
+
+    def test_empirical_tau_runs_once_per_edge(self, monkeypatch):
+        counts = {"tau": 0, "edges": 0}
+        fit_edge = vine_module._fit_edge
+
+        def counting_tau(obs):
+            counts["tau"] += 1
+            return empirical_tau(obs)
+
+        def counting_fit_edge(*args):
+            counts["edges"] += 1
+            return fit_edge(*args)
+
+        monkeypatch.setattr(vine_module, "empirical_tau", counting_tau)
+        monkeypatch.setattr(bicop_module, "empirical_tau", counting_tau)
+        monkeypatch.setattr(vine_module, "_fit_edge", counting_fit_edge)
+        rng = np.random.default_rng(3)
+        idx = np.arange(3)
+        z = rng.multivariate_normal(np.zeros(3), 0.6 ** np.abs(idx[:, None] - idx), size=300)
+        margins = [KernelMargin.fit(z[:, j]) for j in range(3)]
+        model = fit_vine(z, margins, _chain_structure(3), FitConfig())
+        assert model.truncation >= 1
+        assert counts["edges"] >= 2
+        assert counts["tau"] == counts["edges"]
 
     def test_too_few_rows(self):
         x = np.random.default_rng(0).standard_normal((9, 2))
