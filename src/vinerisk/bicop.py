@@ -8,14 +8,19 @@ families with asymmetric tail behaviour (``clayton``, ``gumbel``, ``joe``)
 support rotations 0/90/180/270; ``frank`` and the elliptical families cover
 negative dependence natively and are never rotated.
 
-Rotation conventions (base copula ``C``)::
+Rotations are reflections of the unit square (Czado 2019, section 3.8),
+kept in one table, ``REFLECTIONS``: rotation -> (mirror u, mirror v).  With
+base copula ``C``::
 
-    C_90(u, v)  = v - C(1 - u, v)
-    C_180(u, v) = u + v - 1 + C(1 - u, 1 - v)
-    C_270(u, v) = u - C(u, 1 - v)
+    rotation   mirrors   C_rot(u, v)
+    90         u         v - C(1 - u, v)
+    180        u, v      u + v - 1 + C(1 - u, 1 - v)
+    270        v         u - C(u, 1 - v)
 
-so rotations 90/270 mirror one axis (negating Kendall's tau) and 180 is the
-survival copula.
+Densities evaluate the base family at the mirrored arguments.  An
+h-function or its inverse also mirrors its output (``1 - x``) exactly when
+its target argument is mirrored.  Mirroring one axis negates Kendall's tau
+(:func:`rotated_tau`); 180 is the survival copula.
 
 Likelihood contributions for pairs with discrete components use CDF finite
 differences: one-sided differences of the conditional CDF when one side is
@@ -44,14 +49,36 @@ CONTRIB_FLOOR = 1e-300
 LOG_FLOOR = math.log(CONTRIB_FLOOR)
 
 FAMILIES = ("indep", "gaussian", "studentt", "clayton", "gumbel", "frank", "joe")
-ROTATIONS = (0, 90, 180, 270)
 
 #: Families that admit rotations (asymmetric, positive-dependence base form).
 ROTATABLE = ("clayton", "gumbel", "joe")
 
+#: rotation -> (mirror u, mirror v): the reflection that rotates a copula.
+REFLECTIONS = {0: (False, False), 90: (True, False), 180: (True, True), 270: (False, True)}
+ROTATIONS = tuple(REFLECTIONS)
+
 
 def _clip(u):
     return np.clip(np.asarray(u, dtype=float), EPS, 1.0 - EPS)
+
+
+def _mirror(x, flip: bool):
+    return 1.0 - x if flip else x
+
+
+def _check_rotation(family: str, rotation: int) -> None:
+    if rotation not in REFLECTIONS:
+        raise ValueError(f"rotation must be one of {ROTATIONS}")
+    if rotation != 0 and family not in ROTATABLE:
+        raise ValueError(f"family {family!r} does not support rotations")
+
+
+def rotated_tau(tau: float, rotation: int) -> float:
+    """Kendall's tau after ``rotation``: mirroring exactly one axis negates
+    it.  The map is its own inverse, so it also takes a rotated tau back to
+    the base family's."""
+    flip_u, flip_v = REFLECTIONS[rotation]
+    return -tau if flip_u != flip_v else tau
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +91,7 @@ def _clip(u):
 #                     here are exchangeable, so one direction suffices)
 #   hinv(q, y, p)     inverse of hfunc in x, or None to use bisection
 #   tau(p) / par_from_tau(tau)
+#   tau_range()       attainable Kendall-tau interval within ``bounds``
 # ---------------------------------------------------------------------------
 
 
@@ -71,7 +99,6 @@ class _Indep:
     name = "indep"
     npar = 0
     bounds = ()
-    tau_range = (0.0, 0.0)
 
     @staticmethod
     def logpdf(u, v, p):
@@ -96,6 +123,10 @@ class _Indep:
     @staticmethod
     def par_from_tau(tau):
         raise ValueError("independence copula has no parameter")
+
+    @staticmethod
+    def tau_range():
+        return (0.0, 0.0)
 
 
 class _Gaussian:
@@ -135,12 +166,15 @@ class _Gaussian:
         return (math.sin(math.pi * tau / 2.0),)
 
     @classmethod
-    def tau_range_fn(cls):
+    def tau_range(cls):
         r = 2.0 / math.pi * math.asin(cls.bounds[0][1])
         return (-r, r)
 
 
-class _StudentT:
+class _StudentT(_Gaussian):
+    """Shares the Gaussian's tau map: Kendall's tau of the t depends on rho
+    alone."""
+
     name = "studentt"
     npar = 2
     bounds = ((-0.999, 0.999), (2.05, 30.0))
@@ -198,19 +232,9 @@ class _StudentT:
         return stdtr(nu, stdtrit(nu + 1.0, q) * scale + rho * ty)
 
     @staticmethod
-    def tau(p):
-        return 2.0 / math.pi * math.asin(p[0])
-
-    @staticmethod
     def par_from_tau(tau):
-        # Kendall's tau of the t depends on rho alone (the Gaussian map), so
         # tau fixes rho; bicop_fit profiles the degrees of freedom from 5
         return (math.sin(math.pi * tau / 2.0), 5.0)
-
-    @classmethod
-    def tau_range_fn(cls):
-        r = 2.0 / math.pi * math.asin(cls.bounds[0][1])
-        return (-r, r)
 
 
 class _Clayton:
@@ -262,7 +286,7 @@ class _Clayton:
         return (2.0 * tau / (1.0 - tau),)
 
     @classmethod
-    def tau_range_fn(cls):
+    def tau_range(cls):
         lo, hi = cls.bounds[0]
         return (lo / (lo + 2.0), hi / (hi + 2.0))
 
@@ -323,7 +347,7 @@ class _Gumbel:
         return (1.0 / (1.0 - tau),)
 
     @classmethod
-    def tau_range_fn(cls):
+    def tau_range(cls):
         return (0.0, 1.0 - 1.0 / cls.bounds[0][1])
 
 
@@ -374,7 +398,7 @@ class _Frank:
         return (math.copysign(_frank_theta_abs(abs(tau)), tau),)
 
     @classmethod
-    def tau_range_fn(cls):
+    def tau_range(cls):
         r = _frank_tau_abs(cls.bounds[0][1])
         return (-r, r)
 
@@ -433,7 +457,7 @@ class _Joe:
         return (optimize.brentq(lambda d: _joe_tau(d) - tau, lo + 1e-9, hi, xtol=1e-10),)
 
     @classmethod
-    def tau_range_fn(cls):
+    def tau_range(cls):
         return (0.0, _joe_tau(cls.bounds[0][1]))
 
 
@@ -482,10 +506,7 @@ _FAM = {
 
 def family_tau_range(family: str) -> tuple[float, float]:
     """Attainable Kendall-tau interval of the base (unrotated) family."""
-    fam = _FAM[family]
-    if hasattr(fam, "tau_range_fn"):
-        return fam.tau_range_fn()
-    return fam.tau_range
+    return _FAM[family].tau_range()
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +525,7 @@ class Bicop:
     def __post_init__(self):
         if self.family not in _FAM:
             raise ValueError(f"unknown copula family {self.family!r}")
-        if self.rotation not in ROTATIONS:
-            raise ValueError(f"rotation must be one of {ROTATIONS}")
-        if self.rotation != 0 and self.family not in ROTATABLE:
-            raise ValueError(f"family {self.family!r} does not support rotations")
+        _check_rotation(self.family, self.rotation)
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
         fam = _FAM[self.family]
@@ -527,58 +545,40 @@ class Bicop:
 
     def cdf(self, u, v):
         u, v = _clip(u), _clip(v)
-        fam = _FAM[self.family]
-        if self.rotation == 0:
-            return fam.cdf(u, v, self.params)
-        if self.rotation == 90:
-            return v - fam.cdf(1.0 - u, v, self.params)
-        if self.rotation == 180:
-            return u + v - 1.0 + fam.cdf(1.0 - u, 1.0 - v, self.params)
-        return u - fam.cdf(u, 1.0 - v, self.params)
+        flip_u, flip_v = REFLECTIONS[self.rotation]
+        c = _FAM[self.family].cdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
+        if flip_u and flip_v:
+            return u + v - 1.0 + c
+        if flip_u or flip_v:
+            return (v if flip_u else u) - c
+        return c
 
     def logpdf(self, u, v):
         u, v = _clip(u), _clip(v)
-        fam = _FAM[self.family]
-        if self.rotation == 90:
-            u = 1.0 - u
-        elif self.rotation == 180:
-            u, v = 1.0 - u, 1.0 - v
-        elif self.rotation == 270:
-            v = 1.0 - v
+        flip_u, flip_v = REFLECTIONS[self.rotation]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = fam.logpdf(u, v, self.params)
+            out = _FAM[self.family].logpdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
         return np.nan_to_num(out, nan=LOG_FLOOR, neginf=LOG_FLOOR, posinf=700.0)
 
     def pdf(self, u, v):
         return np.exp(self.logpdf(u, v))
 
+    def _target_first(self, u, v, direction):
+        """``(target, conditioning, target mirrored)`` of an h-function call
+        on ``(u, v)``, each argument mirrored as the rotation says."""
+        flip_u, flip_v = REFLECTIONS[self.rotation]
+        u, v = _mirror(u, flip_u), _mirror(v, flip_v)
+        if direction == "1|2":
+            return u, v, flip_u
+        if direction == "2|1":
+            return v, u, flip_v
+        raise ValueError("direction must be '1|2' or '2|1'")
+
     def hfunc(self, u, v, direction="1|2"):
         """Conditional CDF: ``1|2`` is P(U <= u | V = v), ``2|1`` the reverse."""
-        u, v = _clip(u), _clip(v)
-        fam = _FAM[self.family]
-        h = fam.hfunc
-        p = self.params
-        if direction == "1|2":
-            if self.rotation == 0:
-                out = h(u, v, p)
-            elif self.rotation == 90:
-                out = 1.0 - h(1.0 - u, v, p)
-            elif self.rotation == 180:
-                out = 1.0 - h(1.0 - u, 1.0 - v, p)
-            else:
-                out = h(u, 1.0 - v, p)
-        elif direction == "2|1":
-            if self.rotation == 0:
-                out = h(v, u, p)
-            elif self.rotation == 90:
-                out = h(v, 1.0 - u, p)
-            elif self.rotation == 180:
-                out = 1.0 - h(1.0 - v, 1.0 - u, p)
-            else:
-                out = 1.0 - h(1.0 - v, u, p)
-        else:
-            raise ValueError("direction must be '1|2' or '2|1'")
-        return np.clip(out, 0.0, 1.0)
+        target, cond, flip = self._target_first(_clip(u), _clip(v), direction)
+        out = _FAM[self.family].hfunc(target, cond, self.params)
+        return np.clip(_mirror(out, flip), 0.0, 1.0)
 
     def hinv(self, q, cond, direction="1|2"):
         """Inverse of :meth:`hfunc` in its first ("target") argument.
@@ -587,42 +587,21 @@ class Bicop:
         the v with ``hfunc(cond, v, "2|1") = q``.
         """
         q, cond = _clip(q), _clip(cond)
-        fam = _FAM[self.family]
-        if fam.hinv is None:
+        inv = _FAM[self.family].hinv
+        if inv is None:
             if direction == "1|2":
                 fun = lambda x: self.hfunc(x, cond, "1|2")
             else:
-                fun = lambda x: self.hfunc(cond, x, "2|1")
+                fun = lambda x: self.hfunc(cond, x, direction)
             return _bisect_monotone(fun, q)
-        inv = fam.hinv
-        p = self.params
-        if direction == "1|2":
-            if self.rotation == 0:
-                out = inv(q, cond, p)
-            elif self.rotation == 90:
-                out = 1.0 - inv(1.0 - q, cond, p)
-            elif self.rotation == 180:
-                out = 1.0 - inv(1.0 - q, 1.0 - cond, p)
-            else:
-                out = inv(q, 1.0 - cond, p)
-        elif direction == "2|1":
-            if self.rotation == 0:
-                out = inv(q, cond, p)
-            elif self.rotation == 90:
-                out = inv(q, 1.0 - cond, p)
-            elif self.rotation == 180:
-                out = 1.0 - inv(1.0 - q, 1.0 - cond, p)
-            else:
-                out = 1.0 - inv(1.0 - q, cond, p)
-        else:
-            raise ValueError("direction must be '1|2' or '2|1'")
-        return _clip(out)
+        uv = (q, cond) if direction == "1|2" else (cond, q)
+        q, cond, flip = self._target_first(*uv, direction)
+        return _clip(_mirror(inv(q, cond, self.params), flip))
 
     @property
     def tau(self) -> float:
         """Kendall's tau implied by the parameters (sign follows rotation)."""
-        base = _FAM[self.family].tau(self.params)
-        return -base if self.rotation in (90, 270) else base
+        return rotated_tau(_FAM[self.family].tau(self.params), self.rotation)
 
     @property
     def npar(self) -> int:
@@ -675,13 +654,15 @@ def tau_to_param(family: str, tau: float, rotation: int = 0) -> tuple:
     Raises
     ------
     ValueError
-        If ``tau`` is not attainable by the family/rotation combination.
+        If the family does not take the rotation, or ``tau`` is not
+        attainable by the family/rotation combination.
     """
     if family not in _FAM:
         raise ValueError(f"unknown copula family {family!r}")
     if family == "indep":
         raise ValueError("independence copula has no parameter")
-    base_tau = -tau if rotation in (90, 270) else tau
+    _check_rotation(family, rotation)
+    base_tau = rotated_tau(tau, rotation)
     lo, hi = family_tau_range(family)
     if not lo <= base_tau <= hi:
         raise ValueError(
@@ -787,7 +768,7 @@ def empirical_tau(obs: PairObs) -> float:
 def _start_params(family: str, rotation: int, tau_emp: float):
     """Tau-inversion starting point, clipped into the attainable range."""
     lo, hi = family_tau_range(family)
-    base_tau = -tau_emp if rotation in (90, 270) else tau_emp
+    base_tau = rotated_tau(tau_emp, rotation)
     pad = 1e-3
     base_tau = min(max(base_tau, lo + pad), hi - pad)
     if family == "frank" and abs(base_tau) < 5e-3:

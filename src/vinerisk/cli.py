@@ -19,6 +19,8 @@ import numpy as np
 
 from .classifier import (
     ClassifierModel,
+    RiskPolicy,
+    assign_risk_groups,
     evaluate_probs,
     fit_classifier,
     posterior,
@@ -27,9 +29,9 @@ from .classifier import (
 from .data import Schema, load_dataset
 from .diagnostics import bootstrap_bands, latent_normal_scores, model_conditional_spearman
 from .errors import VineRiskError
-from .scenario import BaseProfile, GridSpec, risk_curve, risk_surface
+from .scenario import BMI_CATEGORIES, BaseProfile, GridSpec, risk_curve, risk_surface
 from .simulation import DgpConfig, benchmark_run, simulate_dgp, split_train_test
-from .vine import DEFAULT_FAMILIES, FitConfig
+from .vine import FitConfig
 
 OUT_DIR_ENV = "VINERISK_OUT"
 
@@ -124,41 +126,50 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _set_flags(args, **convert) -> dict:
+    """The named flags that are set, on the command line or by ``--config``,
+    each passed through its conversion.  Unset flags are left out, so the
+    function or dataclass they feed supplies its own default."""
+    out = {}
+    for name, conv in convert.items():
+        value = getattr(args, name, None)
+        if value is not None and value != "":
+            out[name] = conv(value)
+    return out
+
+
 def _fit_config(args) -> FitConfig:
-    families = DEFAULT_FAMILIES
-    if getattr(args, "families", None):
-        families = tuple(f.strip() for f in args.families.split(","))
-    level = getattr(args, "indep_test_level", None)
-    if level is None:
-        level = 0.01
-    elif float(level) <= 0.0:
-        level = None
-    return FitConfig(
-        families=families,
-        psi0=float(args.psi0 if getattr(args, "psi0", None) is not None else 0.9),
-        truncation_search=getattr(args, "truncation_search", None) or "greedy",
-        indep_test_level=None if level is None else float(level),
-        margin_method=getattr(args, "margin_method", None) or "kernel",
-        priors=getattr(args, "prior_mode", None) or "equal",
-        seed=int(getattr(args, "seed", 0) or 0),
+    kw = _set_flags(
+        args,
+        families=lambda text: tuple(f.strip() for f in text.split(",")),
+        psi0=float,
+        truncation_search=str,
+        indep_test_level=lambda level: None if float(level) <= 0.0 else float(level),
+        margin_method=str,
+        prior_mode=str,
+        seed=int,
     )
+    if "prior_mode" in kw:
+        kw["priors"] = kw.pop("prior_mode")
+    return FitConfig(**kw)
 
 
-def _load_posteriors(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
+def _labeled_posteriors(args):
+    """The labeled dataset of ``--data`` and the classes and probabilities
+    of the ``--posteriors`` CSV (its ``p_class<k>`` columns), one row each."""
+    ds = load_dataset(args.data, Schema.from_json(args.schema))
+    if ds.labels is None:
+        raise VineRiskError(f"{args.command} needs a labeled dataset")
+    with open(args.posteriors, newline="") as fh:
         reader = csv.DictReader(fh)
         cols = [c for c in reader.fieldnames or [] if c.startswith("p_class")]
         if not cols:
-            raise VineRiskError(f"{path} has no p_class* columns")
+            raise VineRiskError(f"{args.posteriors} has no p_class* columns")
         cols.sort(key=lambda c: int(c[len("p_class"):]))
-        rows = [[float(rec[c]) for c in cols] for rec in reader]
-    return np.asarray(rows, dtype=float)
-
-
-def _posterior_classes(path: str) -> list[int]:
-    with open(path, newline="") as fh:
-        cols = [c for c in csv.DictReader(fh).fieldnames or [] if c.startswith("p_class")]
-    return sorted(int(c[len("p_class"):]) for c in cols)
+        probs = np.asarray([[float(rec[c]) for c in cols] for rec in reader], dtype=float)
+    if probs.shape[0] != ds.n:
+        raise VineRiskError(f"posterior rows ({probs.shape[0]}) != data rows ({ds.n})")
+    return ds, [int(c[len("p_class"):]) for c in cols], probs
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +178,7 @@ def _posterior_classes(path: str) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = DgpConfig(
-        variant=args.variant or "continuous",
-        n_train=int(args.n_train if args.n_train is not None else 700),
-        n_test=int(args.n_test if args.n_test is not None else 300),
-        seed=int(args.seed),
-    )
+    cfg = DgpConfig(**_set_flags(args, variant=str, n_train=int, n_test=int, seed=int))
     ds = simulate_dgp(cfg)
     ds.to_csv(_out_path(args.out))
     schema_out = args.schema_out or args.out + ".schema.json"
@@ -202,8 +208,6 @@ def _cmd_predict(args) -> int:
     rows = []
     alphas = _parse_alphas(args.alpha) if args.alpha else []
     if alphas:
-        from .classifier import RiskPolicy, assign_risk_groups
-
         adverse = model.classes[-1]
         k = model.class_index(adverse)
         group_cols = {}
@@ -222,16 +226,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    schema = Schema.from_json(args.schema)
-    ds = load_dataset(args.data, schema)
-    if ds.labels is None:
-        raise VineRiskError("evaluate needs a labeled dataset")
-    probs = _load_posteriors(args.posteriors)
-    classes = _posterior_classes(args.posteriors)
-    if probs.shape[0] != ds.n:
-        raise VineRiskError(
-            f"posterior rows ({probs.shape[0]}) != data rows ({ds.n})"
-        )
+    ds, classes, probs = _labeled_posteriors(args)
     metrics = evaluate_probs(probs, ds.labels, classes)
     rows = []
     for cls in classes:
@@ -247,16 +242,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_risk_groups(args) -> int:
-    schema = Schema.from_json(args.schema)
-    ds = load_dataset(args.data, schema)
-    if ds.labels is None:
-        raise VineRiskError("risk-groups needs a labeled dataset")
-    probs = _load_posteriors(args.posteriors)
-    classes = _posterior_classes(args.posteriors)
-    if probs.shape[0] != ds.n:
-        raise VineRiskError(
-            f"posterior rows ({probs.shape[0]}) != data rows ({ds.n})"
-        )
+    ds, classes, probs = _labeled_posteriors(args)
     alphas = _parse_alphas(args.alpha or "0.15,0.20,0.25")
     adverse = classes[-1]
     p_adv = probs[:, classes.index(adverse)]
@@ -287,8 +273,6 @@ def _cmd_scenario(args) -> int:
         curve = risk_curve(model, base, grid1)
         _write_csv(args.out, ["value", "probability"], curve.rows())
         meta["variable"] = curve.variable
-        from .scenario import BMI_CATEGORIES
-
         if curve.variable.lower() == "bmi":
             meta["categories"] = BMI_CATEGORIES
     if args.meta_out:
@@ -303,12 +287,7 @@ def _cmd_diagnose(args) -> int:
     y = ds.column(args.y)
     z = ds.column(args.z)
     res = bootstrap_bands(
-        x,
-        y,
-        z,
-        replicates=int(args.replicates if args.replicates is not None else 1000),
-        level=float(args.level if args.level is not None else 0.90),
-        seed=int(args.seed),
+        x, y, z, seed=int(args.seed), **_set_flags(args, replicates=int, level=float)
     )
     modeled = {}
     if args.model:
@@ -349,18 +328,13 @@ def _cmd_benchmark(args) -> int:
         ["continuous", "mixed"] if (args.variant or "both") == "both" else [args.variant]
     )
     modes = tuple((args.modes or "oracle,mbic").split(","))
-    grid_points = int(args.grid_points) if args.grid_points is not None else 0
     all_rows = []
     all_grid = []
     for variant in variants:
-        cfg = DgpConfig(
-            variant=variant,
-            n_train=int(args.n_train if args.n_train is not None else 700),
-            n_test=int(args.n_test if args.n_test is not None else 300),
-        )
+        cfg = DgpConfig(variant=variant, **_set_flags(args, n_train=int, n_test=int))
         rows, grid = benchmark_run(
             cfg, seeds, fit_config=_fit_config(args), modes=modes,
-            grid_points=grid_points,
+            **_set_flags(args, grid_points=int),
         )
         for r in rows:
             r["variant"] = variant

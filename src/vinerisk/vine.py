@@ -28,12 +28,13 @@ from .bicop import (
     INDEP,
     PairObs,
     ROTATABLE,
+    ROTATIONS,
     Bicop,
     bicop_contributions,
     bicop_fit,
     bicop_loglik,
     empirical_tau,
-    family_tau_range,
+    rotated_tau,
 )
 from .errors import TooFewObservations
 from .latent import partial_correlation
@@ -279,13 +280,31 @@ def _distinct_columns(x) -> list:
     return [np.unique(x[:, j], return_inverse=True) for j in range(x.shape[1])]
 
 
-def _init_cols(margins, distinct) -> dict:
-    cols = {}
-    for j, (m, (values, inverse)) in enumerate(zip(margins, distinct)):
-        up = np.asarray(m.cdf(values), dtype=float)[inverse]
-        lo = np.asarray(m.cdf_left(values), dtype=float)[inverse] if m.is_discrete else up
-        cols[(j, frozenset())] = _Col(up=up, lo=lo, disc=m.is_discrete)
-    return cols
+class _Columns:
+    """Conditional pseudo-observations of a vine traversal, keyed by
+    (variable, conditioning set): the margins' CDFs to start with, then
+    the columns each tree's edges ``(a, b; D)`` propagate to the next
+    level, ``a`` given ``D | {b}`` and ``b`` given ``D | {a}``."""
+
+    def __init__(self, margins, distinct):
+        self._cols = {}
+        for j, (m, (values, inverse)) in enumerate(zip(margins, distinct)):
+            up = np.asarray(m.cdf(values), dtype=float)[inverse]
+            lo = np.asarray(m.cdf_left(values), dtype=float)[inverse] if m.is_discrete else up
+            self._cols[(j, frozenset())] = _Col(up=up, lo=lo, disc=m.is_discrete)
+
+    def of(self, edge: Edge) -> tuple[_Col, _Col]:
+        """The columns of an edge's conditioned pair given its conditioning set."""
+        a, b = edge.conditioned
+        return self._cols[(a, edge.conditioning)], self._cols[(b, edge.conditioning)]
+
+    def condition(self, tree: list[FittedEdge]) -> None:
+        """Propagate through one fitted tree, adding the next level's columns."""
+        for fe in tree:
+            a, b = fe.edge.conditioned
+            col_a, col_b = _propagate(fe.bicop, *self.of(fe.edge))
+            self._cols[(a, fe.edge.conditioning | {b})] = col_a
+            self._cols[(b, fe.edge.conditioning | {a})] = col_b
 
 
 def _pair_obs(ca: _Col, cb: _Col) -> PairObs:
@@ -343,23 +362,19 @@ def _propagate(cop: Bicop, ca: _Col, cb: _Col) -> tuple[_Col, _Col]:
 def _edge_candidates(families, rotation_tau: float, any_discrete: bool):
     """Family/rotation combinations admissible for an edge.
 
-    Candidates whose attainable tau sign contradicts the empirical tau are
-    skipped; the Student-t is reserved for fully continuous pairs.
+    The rotatable families have positive-dependence base forms, so only
+    the rotations that give the empirical tau's sign are tried; the other
+    families cover both signs unrotated.  The Student-t is reserved for
+    fully continuous pairs.
     """
     out = []
     for fam in families:
-        if fam == "indep":
+        if fam == "indep" or (fam == "studentt" and any_discrete):
             continue
-        if fam == "studentt" and any_discrete:
-            continue
-        rotations = (0, 90, 180, 270) if fam in ROTATABLE else (0,)
-        for rot in rotations:
-            lo, hi = family_tau_range(fam)
-            if lo >= 0.0 and hi > 0.0:  # positive-dependence base family
-                eff = -rotation_tau if rot in (90, 270) else rotation_tau
-                if eff < 0.0:
-                    continue
-            out.append((fam, rot))
+        if fam in ROTATABLE:
+            out.extend((fam, rot) for rot in ROTATIONS if rotated_tau(rotation_tau, rot) >= 0.0)
+        else:
+            out.append((fam, 0))
     return out
 
 
@@ -467,16 +482,13 @@ def fit_vine(
         raise TooFewObservations(f"vine fit needs at least 10 rows, got {n}")
     if d != structure.d or len(margins) != d:
         raise ValueError("margins/structure dimension mismatch")
-    cols = _init_cols(margins, _distinct_columns(x))
+    cols = _Columns(margins, _distinct_columns(x))
     trees: list[list[FittedEdge]] = []
     truncation = 0
     for level, tree in enumerate(structure.trees, start=1):
         fitted = []
         for edge in tree:
-            a, b = edge.conditioned
-            ca = cols[(a, edge.conditioning)]
-            cb = cols[(b, edge.conditioning)]
-            cop, ll, score = _fit_edge(_pair_obs(ca, cb), level, n, config)
+            cop, ll, score = _fit_edge(_pair_obs(*cols.of(edge)), level, n, config)
             fitted.append(FittedEdge(edge=edge, bicop=cop, loglik=ll, score=score))
         trees.append(fitted)
         any_dependence = any(fe.bicop.family != "indep" for fe in fitted)
@@ -485,13 +497,7 @@ def fit_vine(
         elif config.truncation_search == "greedy":
             break
         if level < len(structure.trees):
-            for fe in fitted:
-                a, b = fe.edge.conditioned
-                ca = cols[(a, fe.edge.conditioning)]
-                cb = cols[(b, fe.edge.conditioning)]
-                col_a, col_b = _propagate(fe.bicop, ca, cb)
-                cols[(a, fe.edge.conditioning | {b})] = col_a
-                cols[(b, fe.edge.conditioning | {a})] = col_b
+            cols.condition(fitted)
     trees = trees[:truncation]
     return VineModel(
         margins=margins,
@@ -513,12 +519,10 @@ def vine_logdensity(model: VineModel, x: np.ndarray) -> np.ndarray:
     for m, (values, inverse) in zip(model.margins, distinct):
         dens = np.asarray(m.pdf(values), dtype=float)
         logf += np.log(np.maximum(dens, 1e-300))[inverse]
-    cols = _init_cols(model.margins, distinct)
+    cols = _Columns(model.margins, distinct)
     for level, tree in enumerate(model.trees, start=1):
         for fe in tree:
-            a, b = fe.edge.conditioned
-            ca = cols[(a, fe.edge.conditioning)]
-            cb = cols[(b, fe.edge.conditioning)]
+            ca, cb = cols.of(fe.edge)
             contrib = bicop_contributions(fe.bicop, _pair_obs(ca, cb))
             if ca.disc:
                 contrib = contrib - np.log(np.maximum(ca.up - ca.lo, MASS_FLOOR))
@@ -526,13 +530,7 @@ def vine_logdensity(model: VineModel, x: np.ndarray) -> np.ndarray:
                 contrib = contrib - np.log(np.maximum(cb.up - cb.lo, MASS_FLOOR))
             logf += contrib
         if level < model.truncation:
-            for fe in tree:
-                a, b = fe.edge.conditioned
-                ca = cols[(a, fe.edge.conditioning)]
-                cb = cols[(b, fe.edge.conditioning)]
-                col_a, col_b = _propagate(fe.bicop, ca, cb)
-                cols[(a, fe.edge.conditioning | {b})] = col_a
-                cols[(b, fe.edge.conditioning | {a})] = col_b
+            cols.condition(tree)
     return logf
 
 

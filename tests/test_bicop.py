@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate
 
 from vinerisk.bicop import (
+    EPS,
     FAMILIES,
     INDEP,
+    LOG_FLOOR,
     PairObs,
     ROTATABLE,
     Bicop,
@@ -20,6 +22,9 @@ from vinerisk.bicop import (
     family_tau_range,
     param_to_tau,
     tau_to_param,
+    _FAM,
+    _bisect_monotone,
+    _clip,
     _joe_tau,
 )
 
@@ -123,6 +128,10 @@ def test_tau_unattainable():
         tau_to_param("gumbel", 0.99)  # above delta bound's range
     with pytest.raises(ValueError):
         tau_to_param("indep", 0.1)
+    with pytest.raises(ValueError):
+        tau_to_param("gaussian", -0.3, rotation=90)  # the gaussian is never rotated
+    with pytest.raises(ValueError):
+        tau_to_param("clayton", 0.3, rotation=45)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +347,12 @@ def test_fit_needs_enough_rows():
         bicop_fit("gaussian", 0, obs)
 
 
+@pytest.mark.parametrize("family", ["frank", "gumbel"])
+def test_hinv_rejects_unknown_direction(family):
+    with pytest.raises(ValueError):
+        make(family, 0).hinv(0.5, 0.5, "2-1")
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Bicop("gaussian", 90, (0.5,))  # only archimedean tail families rotate
@@ -406,3 +421,112 @@ def test_joe_tau_closed_form_matches_integral(delta):
 def test_joe_tau_round_trip_against_integral(tau):
     delta = tau_to_param("joe", tau)[0]
     assert abs(_joe_tau_quad(delta) - tau) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# rotations: the reflection table against the explicit branch ladders
+# ---------------------------------------------------------------------------
+
+
+def _ladder_cdf(cop, u, v):
+    u, v = _clip(u), _clip(v)
+    fam = _FAM[cop.family]
+    if cop.rotation == 0:
+        return fam.cdf(u, v, cop.params)
+    if cop.rotation == 90:
+        return v - fam.cdf(1.0 - u, v, cop.params)
+    if cop.rotation == 180:
+        return u + v - 1.0 + fam.cdf(1.0 - u, 1.0 - v, cop.params)
+    return u - fam.cdf(u, 1.0 - v, cop.params)
+
+
+def _ladder_logpdf(cop, u, v):
+    u, v = _clip(u), _clip(v)
+    if cop.rotation == 90:
+        u = 1.0 - u
+    elif cop.rotation == 180:
+        u, v = 1.0 - u, 1.0 - v
+    elif cop.rotation == 270:
+        v = 1.0 - v
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _FAM[cop.family].logpdf(u, v, cop.params)
+    return np.nan_to_num(out, nan=LOG_FLOOR, neginf=LOG_FLOOR, posinf=700.0)
+
+
+def _ladder_hfunc(cop, u, v, direction):
+    u, v = _clip(u), _clip(v)
+    h, p, rot = _FAM[cop.family].hfunc, cop.params, cop.rotation
+    if direction == "1|2":
+        if rot == 0:
+            out = h(u, v, p)
+        elif rot == 90:
+            out = 1.0 - h(1.0 - u, v, p)
+        elif rot == 180:
+            out = 1.0 - h(1.0 - u, 1.0 - v, p)
+        else:
+            out = h(u, 1.0 - v, p)
+    else:
+        if rot == 0:
+            out = h(v, u, p)
+        elif rot == 90:
+            out = h(v, 1.0 - u, p)
+        elif rot == 180:
+            out = 1.0 - h(1.0 - v, 1.0 - u, p)
+        else:
+            out = 1.0 - h(1.0 - v, u, p)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _ladder_hinv(cop, q, cond, direction):
+    q, cond = _clip(q), _clip(cond)
+    inv, p, rot = _FAM[cop.family].hinv, cop.params, cop.rotation
+    if inv is None:
+        if direction == "1|2":
+            fun = lambda x: _ladder_hfunc(cop, x, cond, "1|2")
+        else:
+            fun = lambda x: _ladder_hfunc(cop, cond, x, "2|1")
+        return _bisect_monotone(fun, q)
+    if direction == "1|2":
+        if rot == 0:
+            out = inv(q, cond, p)
+        elif rot == 90:
+            out = 1.0 - inv(1.0 - q, cond, p)
+        elif rot == 180:
+            out = 1.0 - inv(1.0 - q, 1.0 - cond, p)
+        else:
+            out = inv(q, 1.0 - cond, p)
+    else:
+        if rot == 0:
+            out = inv(q, cond, p)
+        elif rot == 90:
+            out = inv(q, 1.0 - cond, p)
+        elif rot == 180:
+            out = 1.0 - inv(1.0 - q, 1.0 - cond, p)
+        else:
+            out = 1.0 - inv(1.0 - q, cond, p)
+    return _clip(out)
+
+
+#: 43 points per axis: the clamp edges, values outside [0, 1] and an interior grid.
+_EDGE_AXIS = np.concatenate(
+    [
+        [-0.5, 0.0, 1e-12, EPS, 2 * EPS, 1e-6],
+        np.linspace(0.01, 0.99, 31),
+        [1 - 1e-6, 1 - 2 * EPS, 1 - EPS, 1 - 1e-12, 1.0, 1.5],
+    ]
+)
+
+
+@pytest.mark.parametrize("family,rotation", ALL_COMBOS)
+@pytest.mark.parametrize("tau", [0.3, 0.75])
+def test_reflection_table_matches_branch_ladders(family, rotation, tau):
+    cop = make(family, rotation, -tau if rotation in (90, 270) else tau)
+    a, b = (g.ravel() for g in np.meshgrid(_EDGE_AXIS, _EDGE_AXIS))
+    with np.errstate(all="ignore"):
+        if family != "studentt":  # the t CDF is a quadrature per point
+            assert_array_equal(cop.cdf(a, b), _ladder_cdf(cop, a, b))
+        assert_array_equal(cop.logpdf(a, b), _ladder_logpdf(cop, a, b))
+        for direction in ("1|2", "2|1"):
+            assert_array_equal(cop.hfunc(a, b, direction), _ladder_hfunc(cop, a, b, direction))
+            assert_array_equal(cop.hinv(a, b, direction), _ladder_hinv(cop, a, b, direction))
+

@@ -341,6 +341,24 @@ class TestFitVine:
         assert counts["edges"] >= 2
         assert counts["tau"] == counts["edges"]
 
+    @pytest.mark.parametrize("search", ["greedy", "full"])
+    def test_scoring_the_training_rows_repeats_the_fitted_loglik(self, search):
+        # fitting and scoring share one traversal, so the training rows'
+        # log density minus the margins is the copula loglik of the fit
+        rng = np.random.default_rng(1)
+        s = Bicop("clayton", 90, tau_to_param("clayton", -0.5, 90)).sample(400, rng)
+        z = ndtri(s)
+        latent = 0.6 * z[:, 0] + 0.6 * z[:, 1] + 0.6 * rng.standard_normal(400)
+        codes = (np.digitize(latent, [-0.5, 0.5]) + 1).astype(float)
+        x = np.column_stack([z, codes])
+        margins = [KernelMargin.fit(z[:, 0]), KernelMargin.fit(z[:, 1]), OrdinalMargin.fit(codes, 3)]
+        model = fit_vine(x, margins, _chain_structure(3), FitConfig(truncation_search=search))
+        assert model.truncation == 2
+        assert any(fe.bicop.rotation != 0 for fe in model.all_edges())
+        log_margins = sum(np.log(m.pdf(x[:, j])).sum() for j, m in enumerate(margins))
+        copula_part = vine_logdensity(model, x).sum() - log_margins
+        assert_allclose(copula_part, vine_copula_loglik(model), rtol=1e-9)
+
     def test_too_few_rows(self):
         x = np.random.default_rng(0).standard_normal((9, 2))
         margins = [KernelMargin.fit(x[:, j]) for j in range(2)]
