@@ -66,6 +66,53 @@ def _mirror(x, flip: bool):
     return 1.0 - x if flip else x
 
 
+def _newton_hinv(fam, q, y, p, max_iter=100, tol=1e-13):
+    """Solve ``fam.hfunc(x, y, p) = q`` for x in [EPS, 1 - EPS], elementwise.
+
+    Safeguarded Newton (``rtsafe``, Press et al., *Numerical Recipes*,
+    section 9.4).  The derivative of h in x is the copula density
+    ``exp(fam.logpdf(x, y, p))``.  Every point starts at ``q``, the
+    independence answer, with the bracket [EPS, 1 - EPS], which each
+    evaluation narrows (h increases in x).  A point bisects its bracket
+    instead of taking the Newton step when that step is not finite, leaves
+    the bracket or is more than half the point's previous step, so it
+    converges at least as surely as bisection.  A point retires once its
+    step or its bracket is below ``tol`` or its residual is exactly 0; only
+    the others are evaluated again.  NaN in ``q`` or ``y`` gives NaN at no
+    cost.  ``q`` broadcasts against ``y``; scalars give a scalar.
+
+    Raises
+    ------
+    NoConvergence
+        If a point is still active after ``max_iter`` evaluations.
+    """
+    q, y = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(y, dtype=float))
+    shape = q.shape
+    x = np.where(np.isnan(y), np.nan, q).ravel()
+    todo = np.flatnonzero(~np.isnan(x))
+    xa, qa, ya = x[todo], q.ravel()[todo], y.ravel()[todo]
+    lo = np.full(todo.size, EPS)
+    hi = np.full(todo.size, 1.0 - EPS)
+    step = hi - lo
+    for _ in range(max_iter):
+        if todo.size == 0:
+            return x.reshape(shape)[()]
+        with np.errstate(all="ignore"):
+            f = fam.hfunc(xa, ya, p) - qa
+            dens = np.exp(fam.logpdf(xa, ya, p))
+            nxt = np.where(np.isfinite(dens), xa - f / dens, np.nan)
+        np.copyto(hi, xa, where=f > 0.0)
+        np.copyto(lo, xa, where=f < 0.0)
+        bisect = ~((lo <= nxt) & (nxt <= hi) & (np.abs(nxt - xa) <= 0.5 * np.abs(step)))
+        np.copyto(nxt, 0.5 * (lo + hi), where=bisect)
+        step = nxt - xa
+        x[todo] = np.where(f == 0.0, xa, nxt)
+        go = (f != 0.0) & (np.abs(step) >= tol) & (hi - lo >= tol)
+        del f, dens, bisect  # lowers the peak memory of the compaction below
+        todo, xa, qa, ya, lo, hi, step = (a[go] for a in (todo, nxt, qa, ya, lo, hi, step))
+    raise NoConvergence(f"h-function inversion did not converge in {max_iter} iterations")
+
+
 def _check_rotation(family: str, rotation: int) -> None:
     if rotation not in REFLECTIONS:
         raise ValueError(f"rotation must be one of {ROTATIONS}")
@@ -89,7 +136,8 @@ def rotated_tau(tau: float, rotation: int) -> float:
 #   cdf(u, v, p)      C(u, v)
 #   hfunc(x, y, p)    conditional CDF P(X <= x | Y = y) = dC/dy  (families
 #                     here are exchangeable, so one direction suffices)
-#   hinv(q, y, p)     inverse of hfunc in x, or None to use bisection
+#   hinv(q, y, p)     inverse of hfunc in x: closed form, or the safeguarded
+#                     Newton solver _newton_hinv (gumbel, joe)
 #   tau(p) / par_from_tau(tau)
 #   tau_range()       attainable Kendall-tau interval within ``bounds``
 # ---------------------------------------------------------------------------
@@ -336,7 +384,7 @@ class _Gumbel:
         )
         return np.exp(log_h)
 
-    hinv = None
+    hinv = classmethod(_newton_hinv)
 
     @staticmethod
     def tau(p):
@@ -443,7 +491,7 @@ class _Joe:
             )
         return np.exp(log_h)
 
-    hinv = None
+    hinv = classmethod(_newton_hinv)
 
     @staticmethod
     def tau(p):
@@ -542,9 +590,14 @@ class Bicop:
             raise ValueError("frank copula parameter must be nonzero")
 
     # -- core surface ------------------------------------------------------
+    # The public methods clip their arguments into [EPS, 1 - EPS].  The
+    # likelihood calls the unclipped ``_cdf``, ``_logpdf`` and ``_hfunc`` on
+    # ``PairObs`` columns, which are clipped once at construction.
 
     def cdf(self, u, v):
-        u, v = _clip(u), _clip(v)
+        return self._cdf(_clip(u), _clip(v))
+
+    def _cdf(self, u, v):
         flip_u, flip_v = REFLECTIONS[self.rotation]
         c = _FAM[self.family].cdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
         if flip_u and flip_v:
@@ -554,7 +607,9 @@ class Bicop:
         return c
 
     def logpdf(self, u, v):
-        u, v = _clip(u), _clip(v)
+        return self._logpdf(_clip(u), _clip(v))
+
+    def _logpdf(self, u, v):
         flip_u, flip_v = REFLECTIONS[self.rotation]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = _FAM[self.family].logpdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
@@ -576,7 +631,10 @@ class Bicop:
 
     def hfunc(self, u, v, direction="1|2"):
         """Conditional CDF: ``1|2`` is P(U <= u | V = v), ``2|1`` the reverse."""
-        target, cond, flip = self._target_first(_clip(u), _clip(v), direction)
+        return self._hfunc(_clip(u), _clip(v), direction)
+
+    def _hfunc(self, u, v, direction):
+        target, cond, flip = self._target_first(u, v, direction)
         out = _FAM[self.family].hfunc(target, cond, self.params)
         return np.clip(_mirror(out, flip), 0.0, 1.0)
 
@@ -584,19 +642,15 @@ class Bicop:
         """Inverse of :meth:`hfunc` in its first ("target") argument.
 
         For ``1|2`` returns the u with ``hfunc(u, cond) = q``; for ``2|1``
-        the v with ``hfunc(cond, v, "2|1") = q``.
+        the v with ``hfunc(cond, v, "2|1") = q``.  The base family's inverse
+        is taken at the mirrored arguments: in closed form, or for Gumbel
+        and Joe by safeguarded Newton steps whose derivative is the base
+        density (:func:`_newton_hinv`).  NaN in ``q`` or ``cond`` gives NaN.
         """
         q, cond = _clip(q), _clip(cond)
-        inv = _FAM[self.family].hinv
-        if inv is None:
-            if direction == "1|2":
-                fun = lambda x: self.hfunc(x, cond, "1|2")
-            else:
-                fun = lambda x: self.hfunc(cond, x, direction)
-            return _bisect_monotone(fun, q)
         uv = (q, cond) if direction == "1|2" else (cond, q)
         q, cond, flip = self._target_first(*uv, direction)
-        return _clip(_mirror(inv(q, cond, self.params), flip))
+        return _clip(_mirror(_FAM[self.family].hinv(q, cond, self.params), flip))
 
     @property
     def tau(self) -> float:
@@ -631,21 +685,6 @@ class Bicop:
 
 
 INDEP = Bicop("indep")
-
-
-def _bisect_monotone(fun, q, max_iter=200, tol=1e-13):
-    """Solve fun(x) = q for x in (0, 1), fun increasing, elementwise."""
-    q = np.asarray(q, dtype=float)
-    lo = np.full(q.shape, EPS)
-    hi = np.full(q.shape, 1.0 - EPS)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        above = fun(mid) > q
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.max(hi - lo) < tol:
-            return 0.5 * (lo + hi)
-    raise NoConvergence("h-function inversion did not converge in 200 bisections")
 
 
 def tau_to_param(family: str, tau: float, rotation: int = 0) -> tuple:
@@ -734,22 +773,22 @@ def bicop_contributions(cop: Bicop, obs: PairObs) -> np.ndarray:
     is floored at ``log(1e-300)``.
     """
     if not obs.u_disc and not obs.v_disc:
-        return np.maximum(cop.logpdf(obs.u_plus, obs.v_plus), LOG_FLOOR)
+        return np.maximum(cop._logpdf(obs.u_plus, obs.v_plus), LOG_FLOOR)
     if obs.u_disc and not obs.v_disc:
-        diff = cop.hfunc(obs.u_plus, obs.v_plus, "1|2") - cop.hfunc(
+        diff = cop._hfunc(obs.u_plus, obs.v_plus, "1|2") - cop._hfunc(
             obs.u_minus, obs.v_plus, "1|2"
         )
         return np.log(np.maximum(diff, CONTRIB_FLOOR))
     if not obs.u_disc and obs.v_disc:
-        diff = cop.hfunc(obs.u_plus, obs.v_plus, "2|1") - cop.hfunc(
+        diff = cop._hfunc(obs.u_plus, obs.v_plus, "2|1") - cop._hfunc(
             obs.u_plus, obs.v_minus, "2|1"
         )
         return np.log(np.maximum(diff, CONTRIB_FLOOR))
     rect = (
-        cop.cdf(obs.u_plus, obs.v_plus)
-        - cop.cdf(obs.u_plus, obs.v_minus)
-        - cop.cdf(obs.u_minus, obs.v_plus)
-        + cop.cdf(obs.u_minus, obs.v_minus)
+        cop._cdf(obs.u_plus, obs.v_plus)
+        - cop._cdf(obs.u_plus, obs.v_minus)
+        - cop._cdf(obs.u_minus, obs.v_plus)
+        + cop._cdf(obs.u_minus, obs.v_minus)
     )
     return np.log(np.maximum(rect, CONTRIB_FLOOR))
 

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import integrate
+from scipy import integrate, stats
 
 from vinerisk.bicop import (
+    CONTRIB_FLOOR,
     EPS,
     FAMILIES,
     INDEP,
     LOG_FLOOR,
     PairObs,
     ROTATABLE,
+    ROTATIONS,
     Bicop,
     bicop_contributions,
     bicop_fit,
@@ -23,10 +25,12 @@ from vinerisk.bicop import (
     param_to_tau,
     tau_to_param,
     _FAM,
-    _bisect_monotone,
     _clip,
     _joe_tau,
+    _newton_hinv,
 )
+from vinerisk.errors import NoConvergence
+from vinerisk.vine import model_spearman
 
 ALL_COMBOS = [("gaussian", 0), ("studentt", 0), ("frank", 0)] + [
     (f, r) for f in ROTATABLE for r in (0, 90, 180, 270)
@@ -480,12 +484,6 @@ def _ladder_hfunc(cop, u, v, direction):
 def _ladder_hinv(cop, q, cond, direction):
     q, cond = _clip(q), _clip(cond)
     inv, p, rot = _FAM[cop.family].hinv, cop.params, cop.rotation
-    if inv is None:
-        if direction == "1|2":
-            fun = lambda x: _ladder_hfunc(cop, x, cond, "1|2")
-        else:
-            fun = lambda x: _ladder_hfunc(cop, cond, x, "2|1")
-        return _bisect_monotone(fun, q)
     if direction == "1|2":
         if rot == 0:
             out = inv(q, cond, p)
@@ -530,3 +528,185 @@ def test_reflection_table_matches_branch_ladders(family, rotation, tau):
             assert_array_equal(cop.hfunc(a, b, direction), _ladder_hfunc(cop, a, b, direction))
             assert_array_equal(cop.hinv(a, b, direction), _ladder_hinv(cop, a, b, direction))
 
+
+# ---------------------------------------------------------------------------
+# h-function inversion: safeguarded Newton against the bisection it replaced
+# ---------------------------------------------------------------------------
+
+
+def _bisect_monotone(fun, q, max_iter=200, tol=1e-13):
+    """Solve fun(x) = q for x in (0, 1), fun increasing, elementwise: the
+    inversion ``Bicop.hinv`` used for Gumbel and Joe before Newton steps."""
+    q = np.asarray(q, dtype=float)
+    lo = np.full(q.shape, EPS)
+    hi = np.full(q.shape, 1.0 - EPS)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        above = fun(mid) > q
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        if np.max(hi - lo) < tol:
+            return 0.5 * (lo + hi)
+    raise NoConvergence("h-function inversion did not converge in 200 bisections")
+
+
+def _bisect_hinv(cop, q, cond, direction):
+    q, cond = _clip(q), _clip(cond)
+    if direction == "1|2":
+        return _bisect_monotone(lambda x: _ladder_hfunc(cop, x, cond, "1|2"), q)
+    return _bisect_monotone(lambda x: _ladder_hfunc(cop, cond, x, "2|1"), q)
+
+
+def _newton_cases():
+    for family in ("gumbel", "joe"):
+        lo, hi = _FAM[family].bounds[0]
+        for rotation in ROTATIONS:
+            for tau in (0.3, 0.75):
+                yield make(family, rotation, -tau if rotation in (90, 270) else tau)
+            for delta in (lo, hi):
+                yield Bicop(family, rotation, (delta,))
+
+
+NEWTON_CASES = list(_newton_cases())
+
+
+@pytest.mark.parametrize(
+    "cop", NEWTON_CASES, ids=lambda c: f"{c.family}-{c.rotation}-{c.params[0]:.4g}"
+)
+def test_newton_hinv_matches_bisection(cop):
+    q, cond = (g.ravel() for g in np.meshgrid(_EDGE_AXIS, _EDGE_AXIS))
+    for direction in ("1|2", "2|1"):
+        x = cop.hinv(q, cond, direction)
+        old = _bisect_hinv(cop, q, cond, direction)
+        if direction == "1|2":
+            h, dens = cop.hfunc(x, cond, "1|2"), cop.pdf(old, cond)
+        else:
+            h, dens = cop.hfunc(cond, x, "2|1"), cop.pdf(cond, old)
+        # Within 1e-11, except where h is so flat that both answers are
+        # roots to rounding: there the gap times the density dh/dx, the
+        # change in h between them, stays below 1e-13.
+        assert np.all(np.abs(x - old) <= 1e-11 + 1e-13 / dens)
+        # Round trip wherever the root is interior.  Within 1e-8 of the
+        # clamp, h steps by more than 1e-8 between neighbouring doubles or
+        # the root lies beyond the clamp, and bisection misses too.
+        interior = (old > 1e-8) & (old < 1.0 - 1e-8)
+        assert np.max(np.abs(h - _clip(q))[interior]) <= 1e-8
+
+
+def _bisect_spearman(cop, n, seed):
+    w = np.random.default_rng(seed).random((n, 2))
+    v = _bisect_hinv(cop, w[:, 1], w[:, 0], "2|1")
+    return float(stats.spearmanr(w[:, 0], v).statistic)
+
+
+@pytest.mark.parametrize("family,delta", [("joe", 2.3270908886114174), ("gumbel", 1.8)])
+def test_newton_sampling_keeps_model_spearman(family, delta):
+    cop = Bicop(family, 0, (delta,))
+    for seed in range(4):
+        old = _bisect_spearman(cop, 100_000, seed)
+        assert abs(model_spearman(cop, 100_000, seed) - old) <= 1e-12
+
+
+@pytest.mark.parametrize("family,rotation", ALL_COMBOS)
+def test_hinv_nan_in_nan_out(family, rotation):
+    cop = make(family, rotation, -0.4 if rotation in (90, 270) else 0.4)
+    q = np.array([np.nan, 0.3, 0.6, np.nan])
+    cond = np.array([0.5, np.nan, 0.4, np.nan])
+    for direction in ("1|2", "2|1"):
+        assert np.isnan(cop.hinv(np.nan, 0.5, direction))
+        assert np.isnan(cop.hinv(0.5, np.nan, direction))
+        out = cop.hinv(q, cond, direction)
+        assert_array_equal(np.isnan(out), [True, True, False, True])
+        assert out[2] == cop.hinv(0.6, 0.4, direction)
+
+
+def test_independence_hinv_ignores_the_conditioning_value():
+    # the inverse of the independence copula is q whatever the condition
+    assert np.isnan(INDEP.hinv(np.nan, 0.5))
+    assert INDEP.hinv(0.5, np.nan) == 0.5
+
+
+class _Stub:
+    """A family namespace around ``base`` that counts the points evaluated
+    and can replace the density with a constant."""
+
+    def __init__(self, base, logpdf=None):
+        self.base, self.const, self.points = base, logpdf, 0
+
+    def hfunc(self, x, y, p):
+        self.points += np.size(x)
+        return self.base.hfunc(x, y, p)
+
+    def logpdf(self, x, y, p):
+        if self.const is None:
+            return self.base.logpdf(x, y, p)
+        return np.full(np.shape(x), self.const)
+
+
+def test_newton_hinv_skips_nan_points():
+    stub = _Stub(_FAM["joe"])
+    q = np.array([np.nan, 0.3, 0.7, 0.2])
+    y = np.array([0.5, np.nan, 0.4, 0.9])
+    out = _newton_hinv(stub, q, y, (2.5,))
+    assert_array_equal(np.isnan(out), [True, True, False, False])
+    single = _Stub(_FAM["joe"])
+    _newton_hinv(single, q[2:], y[2:], (2.5,))
+    assert stub.points == single.points
+
+
+@pytest.mark.parametrize("logpdf", [-np.inf, np.inf, np.nan])
+def test_newton_hinv_bisects_when_density_is_useless(logpdf):
+    # a zero, infinite or NaN density gives no usable Newton step; the
+    # bracket still converges, as plain bisection would
+    q, y = (g.ravel() for g in np.meshgrid(np.linspace(0.01, 0.99, 9), [0.1, 0.5, 0.9]))
+    stub = _Stub(_FAM["gumbel"], logpdf)
+    x = _newton_hinv(stub, q, y, (2.0,))
+    assert_allclose(_FAM["gumbel"].hfunc(x, y, (2.0,)), q, atol=1e-12)
+    assert stub.points >= 40 * q.size
+
+
+def test_newton_hinv_raises_at_iteration_cap():
+    with pytest.raises(NoConvergence):
+        _newton_hinv(_FAM["joe"], np.array([0.3, 0.8]), np.array([0.5, 0.2]), (2.5,), 3)
+
+
+def test_newton_hinv_work_per_draw():
+    # the served Joe edge of the benchmark's reference model: bisection
+    # spends 44 h-function evaluations per point
+    w = np.random.default_rng(0).random((100_000, 2))
+    stub = _Stub(_FAM["joe"])
+    _newton_hinv(stub, w[:, 1], w[:, 0], (2.3270908886114174,))
+    assert stub.points / 100_000 <= 9
+
+
+def test_newton_hinv_shapes():
+    cop = make("gumbel", 90, -0.5)
+    scalar = cop.hinv(0.3, 0.6, "2|1")
+    assert np.ndim(scalar) == 0 and np.ndim(_newton_hinv(_FAM["joe"], 0.3, 0.6, (2.0,))) == 0
+    grid = cop.hinv(np.array([[0.2], [0.5], [0.8]]), np.array([0.1, 0.4, 0.7, 0.9]), "1|2")
+    assert grid.shape == (3, 4)
+    assert grid[1, 2] == cop.hinv(0.5, 0.7, "1|2")
+    assert cop.hinv(np.array([0.2, 0.5]), 0.6).shape == (2,)
+
+
+@pytest.mark.parametrize("family,rotation", ALL_COMBOS)
+def test_contributions_equal_clipped_public_methods(family, rotation):
+    # the likelihood path skips the public methods' clip: PairObs has
+    # already clipped, and clipping twice changes nothing
+    cop = make(family, rotation, -0.45 if rotation in (90, 270) else 0.45)
+    rng = np.random.default_rng(4)
+    up = np.concatenate([rng.uniform(0.2, 1.0, 30), [1.0, 1.5]])
+    um = np.concatenate([up[:30] - rng.uniform(0.0, 0.2, 30), [-0.5, 0.0]])
+    vp, vm = up[::-1].copy(), um[::-1].copy()
+    obs = PairObs(u_plus=up, v_plus=vp)
+    assert_array_equal(bicop_contributions(cop, obs), np.maximum(cop.logpdf(up, vp), LOG_FLOOR))
+    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, u_disc=True)
+    diff = cop.hfunc(up, vp, "1|2") - cop.hfunc(um, vp, "1|2")
+    assert_array_equal(bicop_contributions(cop, obs), np.log(np.maximum(diff, CONTRIB_FLOOR)))
+    obs = PairObs(u_plus=up, v_plus=vp, v_minus=vm, v_disc=True)
+    diff = cop.hfunc(up, vp, "2|1") - cop.hfunc(up, vm, "2|1")
+    assert_array_equal(bicop_contributions(cop, obs), np.log(np.maximum(diff, CONTRIB_FLOOR)))
+    if family != "studentt":  # the t CDF is a quadrature per point
+        obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm, u_disc=True, v_disc=True)
+        rect = cop.cdf(up, vp) - cop.cdf(up, vm) - cop.cdf(um, vp) + cop.cdf(um, vm)
+        assert_array_equal(bicop_contributions(cop, obs), np.log(np.maximum(rect, CONTRIB_FLOOR)))
