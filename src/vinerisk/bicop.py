@@ -400,6 +400,11 @@ class _Gumbel:
 
 
 class _Frank:
+    """Frank is radially symmetric, ``C(u, v) = u + v - 1 + C(1 - u, 1 - v)``.
+    Its closed forms cancel catastrophically where ``u + v > 1`` at large
+    theta (``g(1) + g(u) g(v)`` nears 0 as a difference of two terms near
+    1), so there they are evaluated at the mirrored point instead."""
+
     name = "frank"
     npar = 1
     bounds = ((-35.0, 35.0),)
@@ -408,15 +413,24 @@ class _Frank:
     def _g(x, theta):
         return np.expm1(-theta * x)
 
+    @staticmethod
+    def _lower(u, v):
+        # (mask of u + v > 1, u and v mirrored there)
+        up = u + v > 1.0
+        return up, np.where(up, 1.0 - u, u), np.where(up, 1.0 - v, v)
+
     @classmethod
     def cdf(cls, u, v, p):
         theta = p[0]
-        gu, gv, g1 = cls._g(u, theta), cls._g(v, theta), cls._g(1.0, theta)
-        return -np.log1p(gu * gv / g1) / theta
+        up, a, b = cls._lower(u, v)
+        gu, gv, g1 = cls._g(a, theta), cls._g(b, theta), cls._g(1.0, theta)
+        c = -np.log1p(gu * gv / g1) / theta
+        return np.where(up, u + v - 1.0 + c, c)[()]
 
     @classmethod
     def logpdf(cls, u, v, p):
         theta = p[0]
+        _, u, v = cls._lower(u, v)
         gu, gv, g1 = cls._g(u, theta), cls._g(v, theta), cls._g(1.0, theta)
         denom = -g1 - gu * gv
         num = -theta * g1 * np.exp(-theta * (u + v))
@@ -426,15 +440,21 @@ class _Frank:
     @classmethod
     def hfunc(cls, x, y, p):
         theta = p[0]
-        gx, gy, g1 = cls._g(x, theta), cls._g(y, theta), cls._g(1.0, theta)
-        return np.exp(-theta * y) * gx / (g1 + gx * gy)
+        up, a, b = cls._lower(x, y)
+        gx, gy, g1 = cls._g(a, theta), cls._g(b, theta), cls._g(1.0, theta)
+        h = np.exp(-theta * b) * gx / (g1 + gx * gy)
+        return np.where(up, 1.0 - h, h)[()]
 
     @classmethod
     def hinv(cls, q, y, p):
+        # h(x | y) = 1 - h(1 - x | 1 - y), so the inverse is taken at y <= 1/2
         theta = p[0]
+        up = y > 0.5
+        q, y = np.where(up, 1.0 - q, q), np.where(up, 1.0 - y, y)
         gy, g1 = cls._g(y, theta), cls._g(1.0, theta)
         gx = q * g1 / (np.exp(-theta * y) - q * gy)
-        return -np.log1p(gx) / theta
+        x = -np.log1p(gx) / theta
+        return np.where(up, 1.0 - x, x)[()]
 
     @staticmethod
     def tau(p):

@@ -296,9 +296,7 @@ def _cmd_diagnose(args) -> int:
         vine = model.vines[model.class_index(label)]
         pair = (model.schema.index_of(args.x), model.schema.index_of(args.y))
         try:
-            modeled = model_conditional_spearman(
-                vine, pair, res.categories, seed=int(args.seed)
-            )
+            modeled = model_conditional_spearman(vine, pair, res.categories)
         except KeyError:
             modeled = {}
     res.modeled = modeled or None

@@ -198,13 +198,15 @@ def model_conditional_spearman(
     """Model-implied Spearman's rho of a vine edge, repeated per category.
 
     A simplified vine uses one pair copula regardless of the conditioning
-    value, so every category receives the same number.
+    value, so every category receives the same number.  That number is
+    :func:`~vinerisk.vine.model_spearman`'s deterministic quadrature;
+    ``n_samples`` and ``seed`` are ignored.
     """
     a, b = sorted(conditioned)
     for tree in model.trees:
         for fe in tree:
             if fe.edge.conditioned == (a, b):
-                rho = model_spearman(fe.bicop, n_samples, seed)
+                rho = model_spearman(fe.bicop)
                 return {int(cat): rho for cat in categories}
     raise KeyError(f"no fitted edge with conditioned pair ({a}, {b})")
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from vinerisk.bicop import (
     _newton_hinv,
 )
 from vinerisk.errors import NoConvergence
-from vinerisk.vine import model_spearman
 
 ALL_COMBOS = [("gaussian", 0), ("studentt", 0), ("frank", 0)] + [
     (f, r) for f in ROTATABLE for r in (0, 90, 180, 270)
@@ -71,6 +71,46 @@ def test_frank_cdf_naive_formula():
         num = (math.exp(-theta * u) - 1.0) * (math.exp(-theta * v) - 1.0)
         expected = -math.log(1.0 + num / (math.exp(-theta) - 1.0)) / theta
         assert_allclose(c.cdf(u, v), expected, rtol=1e-12)
+
+
+def _frank_reference(u, v, theta):
+    """C, h(u | v) and log c of Frank's closed forms to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u, v, t = Decimal(u), Decimal(v), Decimal(theta)
+        gu, gv, g1 = ((-t * x).exp() - 1 for x in (u, v, Decimal(1)))
+        denom = g1 + gu * gv
+        cdf = -(1 + gu * gv / g1).ln() / t
+        h = (-t * v).exp() * gu / denom
+        logpdf = (-t * g1 * (-t * (u + v)).exp() / denom**2).ln()
+        return float(cdf), float(h), float(logpdf)
+
+
+_FRANK_AXIS = np.array([1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6])
+
+
+@pytest.mark.parametrize("theta", [20.0, 35.0, -35.0])
+def test_frank_against_50_digit_reference(theta):
+    # at large theta the closed forms cancel where u + v > 1 unless they
+    # are evaluated through radial symmetry
+    u, v = (g.ravel() for g in np.meshgrid(_FRANK_AXIS, _FRANK_AXIS))
+    ref = np.array([_frank_reference(a, b, theta) for a, b in zip(u, v)])
+    c = Bicop("frank", 0, (theta,))
+    assert np.max(np.abs(c.cdf(u, v) - ref[:, 0])) <= 1e-9
+    assert np.max(np.abs(c.hfunc(u, v, "1|2") - ref[:, 1])) <= 1e-8
+    assert np.max(np.abs(c.logpdf(u, v) - ref[:, 2])) <= 1e-7
+
+
+def test_frank_hinv_round_trip_at_strong_dependence():
+    c = Bicop("frank", 0, (35.0,))
+    axis = np.concatenate([_FRANK_AXIS, np.linspace(0.0, 1.0, 101)])
+    q, cond = (g.ravel() for g in np.meshgrid(axis, axis))
+    for direction in ("1|2", "2|1"):
+        x = c.hinv(q, cond, direction)
+        h = c.hfunc(x, cond, "1|2") if direction == "1|2" else c.hfunc(cond, x, "2|1")
+        interior = (x > 1e-8) & (x < 1.0 - 1e-8)
+        assert interior.sum() > 0.5 * x.size
+        assert np.max(np.abs(h - _clip(q))[interior]) <= 1e-8
 
 
 def test_joe_cdf_naive_formula():
@@ -604,7 +644,8 @@ def test_newton_sampling_keeps_model_spearman(family, delta):
     cop = Bicop(family, 0, (delta,))
     for seed in range(4):
         old = _bisect_spearman(cop, 100_000, seed)
-        assert abs(model_spearman(cop, 100_000, seed) - old) <= 1e-12
+        s = cop.sample(100_000, np.random.default_rng(seed))
+        assert abs(stats.spearmanr(s[:, 0], s[:, 1]).statistic - old) <= 1e-12
 
 
 @pytest.mark.parametrize("family,rotation", ALL_COMBOS)

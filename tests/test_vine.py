@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import ndtr, ndtri, roots_legendre
 
 from vinerisk import bicop as bicop_module
 from vinerisk import vine as vine_module
-from vinerisk.bicop import Bicop, PairObs, empirical_tau, tau_to_param
+from vinerisk.bicop import ROTATABLE, Bicop, PairObs, empirical_tau, tau_to_param
 from vinerisk.errors import TooFewObservations
 from vinerisk.classifier import ClassifierModel, posterior
 from vinerisk.data import Schema, VariableSpec
@@ -21,6 +21,8 @@ from vinerisk.vine import (
     VineModel,
     VineStructure,
     _fit_edge,
+    _gauss_legendre,
+    _quadrature_spearman,
     edge_penalty,
     edge_report,
     fit_vine,
@@ -392,6 +394,80 @@ class TestCriterionValue:
         assert vine_mbic(model, n=1000) > vine_mbic(model, n=100)
 
 
+def _debye(k, x):
+    return k / x**k * integrate.quad(lambda t: t**k / math.expm1(t), 0.0, x, epsabs=1e-14)[0]
+
+
+def _frank_spearman(theta):
+    # rho = 1 - 12 / theta * (D1(theta) - D2(theta)) with Debye functions D_k,
+    # written for |theta| (rho is odd in theta)
+    a = abs(theta)
+    return math.copysign(1.0 - 12.0 / a * (_debye(1, a) - _debye(2, a)), theta)
+
+
+def _spearman_cases():
+    yield Bicop("indep")
+    yield Bicop("gaussian", 0, (0.5,))
+    yield Bicop("studentt", 0, (0.5, 4.0))
+    yield Bicop("studentt", 0, (-0.7, 2.5))
+    yield Bicop("frank", 0, tau_to_param("frank", -0.5))
+    for family in ROTATABLE:
+        for rotation in (0, 90, 180, 270):
+            tau = -0.5 if rotation in (90, 270) else 0.5
+            yield Bicop(family, rotation, tau_to_param(family, tau, rotation))
+
+
+def _cop_id(cop):
+    return "-".join([cop.family, str(cop.rotation)] + [f"{p:.4g}" for p in cop.params])
+
+
+class TestModelSpearmanQuadrature:
+    @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.25, 0.5, 0.99])
+    def test_gaussian_closed_form(self, rho):
+        expected = 6.0 / math.pi * math.asin(rho / 2.0)
+        assert abs(model_spearman(Bicop("gaussian", 0, (rho,))) - expected) <= 1e-6
+
+    @pytest.mark.parametrize("theta", [-35.0, -5.0, 0.5, 5.0, 20.0, 35.0])
+    def test_frank_debye_closed_form(self, theta):
+        assert abs(model_spearman(Bicop("frank", 0, (theta,))) - _frank_spearman(theta)) <= 1e-6
+
+    @pytest.mark.parametrize("family", ROTATABLE)
+    @pytest.mark.parametrize("tau", [0.3, 0.8])
+    def test_rotation_symmetries(self, family, tau):
+        par = tau_to_param(family, tau)
+        rho = {r: model_spearman(Bicop(family, r, par)) for r in (0, 90, 180, 270)}
+        assert rho[0] > 0.0
+        assert_allclose([-rho[90], rho[180], -rho[270]], rho[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cop", list(_spearman_cases()), ids=_cop_id)
+    def test_agrees_with_sampling(self, cop):
+        # Spearman of 200 000 draws, with its standard error from 20 batches
+        s = cop.sample(200_000, np.random.default_rng(5))
+        observed = stats.spearmanr(s[:, 0], s[:, 1]).statistic
+        batches = [stats.spearmanr(b[:, 0], b[:, 1]).statistic for b in np.split(s, 20)]
+        se = np.std(batches, ddof=1) / math.sqrt(20)
+        assert abs(model_spearman(cop) - observed) <= 4.0 * se
+
+    @pytest.mark.parametrize(
+        "cop",
+        [
+            Bicop("gaussian", 0, (0.9999,)),
+            Bicop("gaussian", 0, (-0.9,)),
+            Bicop("studentt", 0, (0.999, 2.05)),
+            Bicop("studentt", 0, (-0.5, 30.0)),
+            Bicop("clayton", 0, (28.0,)),
+            Bicop("gumbel", 180, (20.0,)),
+            Bicop("frank", 0, (35.0,)),
+            Bicop("joe", 90, (30.0,)),
+            Bicop("joe", 0, (2.3270908886114174,)),
+        ],
+        ids=_cop_id,
+    )
+    def test_rule_has_converged(self, cop):
+        fine = _quadrature_spearman(cop, _gauss_legendre(256))
+        assert abs(model_spearman(cop) - fine) <= 1e-5
+
+
 class TestReportAndSerialization:
     def test_gaussian_spearman_closed_form(self):
         cop = Bicop("gaussian", 0, (0.5,))
@@ -401,6 +477,16 @@ class TestReportAndSerialization:
     def test_model_spearman_is_deterministic(self):
         cop = Bicop("gumbel", 0, tau_to_param("gumbel", 0.5))
         assert model_spearman(cop, 20_000, seed=3) == model_spearman(cop, 20_000, seed=3)
+
+    def test_model_spearman_ignores_sample_size_and_seed(self, monkeypatch):
+        cop = Bicop("joe", 0, (2.3270908886114174,))
+        expected = model_spearman(cop)
+
+        def no_sampling(self, n, rng):
+            raise AssertionError("model_spearman drew samples")
+
+        monkeypatch.setattr(Bicop, "sample", no_sampling)
+        assert model_spearman(cop, 10, seed=7) == expected
 
     def test_edge_report_rows(self):
         model = _manual_model(2)
