@@ -24,7 +24,9 @@ its target argument is mirrored.  Mirroring one axis negates Kendall's tau
 
 Likelihood contributions for pairs with discrete components use CDF finite
 differences: one-sided differences of the conditional CDF when one side is
-discrete and rectangle probabilities when both are.
+discrete and rectangle probabilities when both are.  The same copula terms
+also condition each side on the other for a vine's next tree, both in one
+step: :func:`bicop_condition`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ EPS = 1e-10
 #: Floor for individual likelihood contributions before taking logs.
 CONTRIB_FLOOR = 1e-300
 LOG_FLOOR = math.log(CONTRIB_FLOOR)
+
+#: Floor for a discrete side's probability mass, the denominator of its conditional CDFs.
+MASS_FLOOR = 1e-12
 
 FAMILIES = ("indep", "gaussian", "studentt", "clayton", "gumbel", "frank", "joe")
 
@@ -246,10 +251,8 @@ class _StudentT(_Gaussian):
     @staticmethod
     def cdf(u, v, p):
         rho, nu = p
-        u = np.atleast_1d(u)
-        v = np.atleast_1d(v)
-        out = np.empty(np.broadcast(u, v).shape)
-        ub, vb = np.broadcast_arrays(u, v)
+        ub, vb = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        out = np.empty(ub.shape)
         scale = math.sqrt(1.0 - rho * rho)
         for i in np.ndindex(out.shape):
             xu = float(stdtrit(nu, ub[i]))
@@ -263,7 +266,7 @@ class _StudentT(_Gaussian):
                 integrand, -np.inf, xu, epsabs=1e-12, epsrel=1e-10, limit=200
             )
             out[i] = val
-        return out.reshape(np.broadcast(u, v).shape)
+        return out[()]
 
     @staticmethod
     def hfunc(x, y, p):
@@ -783,6 +786,43 @@ class PairObs:
             v_disc=self.u_disc,
         )
 
+    def masses(self) -> tuple:
+        """Per side, ``plus - minus`` floored at ``MASS_FLOOR``: the probability
+        of a discrete side's observed code; None for a continuous side."""
+        return tuple(
+            np.maximum(plus - minus, MASS_FLOOR) if disc else None
+            for plus, minus, disc in (
+                (self.u_plus, self.u_minus, self.u_disc),
+                (self.v_plus, self.v_minus, self.v_disc),
+            )
+        )
+
+    def log_mass_total(self) -> float:
+        """Summed log masses of the discrete sides, one sum per side."""
+        total = 0.0
+        for mass in self.masses():
+            if mass is not None:
+                total += float(np.sum(np.log(mass)))
+        return total
+
+
+def _likelihood(cop: Bicop, obs: PairObs) -> tuple:
+    """The log contributions of :func:`bicop_contributions` and the terms
+    they are built from: the h-functions at a discrete side's (plus, minus)
+    corners, C at the four corners ``(++, +-, -+, --)`` when both sides are
+    discrete, none for a continuous pair."""
+    up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
+    if obs.u_disc and obs.v_disc:
+        c = cop._cdf(up, vp), cop._cdf(up, vm), cop._cdf(um, vp), cop._cdf(um, vm)
+        return np.log(np.maximum(c[0] - c[1] - c[2] + c[3], CONTRIB_FLOOR)), c
+    if obs.u_disc:
+        h = cop._hfunc(up, vp, "1|2"), cop._hfunc(um, vp, "1|2")
+    elif obs.v_disc:
+        h = cop._hfunc(up, vp, "2|1"), cop._hfunc(up, vm, "2|1")
+    else:
+        return np.maximum(cop._logpdf(up, vp), LOG_FLOOR), ()
+    return np.log(np.maximum(h[0] - h[1], CONTRIB_FLOOR)), h
+
 
 def bicop_contributions(cop: Bicop, obs: PairObs) -> np.ndarray:
     """Per-row log likelihood contributions of a pair-copula.
@@ -792,25 +832,49 @@ def bicop_contributions(cop: Bicop, obs: PairObs) -> np.ndarray:
     and fully discrete pairs log rectangle probabilities.  Each contribution
     is floored at ``log(1e-300)``.
     """
-    if not obs.u_disc and not obs.v_disc:
-        return np.maximum(cop._logpdf(obs.u_plus, obs.v_plus), LOG_FLOOR)
-    if obs.u_disc and not obs.v_disc:
-        diff = cop._hfunc(obs.u_plus, obs.v_plus, "1|2") - cop._hfunc(
-            obs.u_minus, obs.v_plus, "1|2"
-        )
-        return np.log(np.maximum(diff, CONTRIB_FLOOR))
-    if not obs.u_disc and obs.v_disc:
-        diff = cop._hfunc(obs.u_plus, obs.v_plus, "2|1") - cop._hfunc(
-            obs.u_plus, obs.v_minus, "2|1"
-        )
-        return np.log(np.maximum(diff, CONTRIB_FLOOR))
-    rect = (
-        cop._cdf(obs.u_plus, obs.v_plus)
-        - cop._cdf(obs.u_plus, obs.v_minus)
-        - cop._cdf(obs.u_minus, obs.v_plus)
-        + cop._cdf(obs.u_minus, obs.v_minus)
-    )
-    return np.log(np.maximum(rect, CONTRIB_FLOOR))
+    return _likelihood(cop, obs)[0]
+
+
+def _conditioned_side(plus, minus):
+    """A conditioned side clipped into [EPS, 1 - EPS]; a discrete side's
+    lower corner is capped at its upper one."""
+    plus = np.clip(plus, EPS, 1.0 - EPS)
+    if minus is None:
+        return plus, None
+    return plus, np.minimum(np.clip(minus, EPS, 1.0 - EPS), plus)
+
+
+def bicop_condition(cop: Bicop, obs: PairObs) -> tuple[np.ndarray, PairObs]:
+    """One pair-copula step of a vine: ``(contributions, conditioned)``.
+
+    ``contributions`` are :func:`bicop_contributions` less each discrete
+    side's log mass (:meth:`PairObs.masses`), so independence contributes
+    zero.  ``conditioned`` holds ``u | v`` and ``v | u``, the next tree's
+    pseudo-observations: an h-function given a continuous side, the
+    difference of C across a discrete side's code over its mass
+    (Panagiotelis, Czado & Joe 2012).  Each copula term is evaluated once.
+    """
+    contrib, terms = _likelihood(cop, obs)
+    up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
+    mass_u, mass_v = obs.masses()
+    if obs.u_disc and obs.v_disc:
+        cpp, cpm, cmp_, cmm = terms
+        u_given = (cpp - cpm) / mass_v, (cmp_ - cmm) / mass_v
+        v_given = (cpp - cmp_) / mass_u, (cpm - cmm) / mass_u
+    elif obs.u_disc:
+        u_given = terms
+        v_given = (cop._cdf(up, vp) - cop._cdf(um, vp)) / mass_u, None
+    elif obs.v_disc:
+        u_given = (cop._cdf(up, vp) - cop._cdf(up, vm)) / mass_v, None
+        v_given = terms
+    else:
+        u_given = cop._hfunc(up, vp, "1|2"), None
+        v_given = cop._hfunc(up, vp, "2|1"), None
+    for mass in (mass_u, mass_v):
+        if mass is not None:
+            contrib = contrib - np.log(mass)
+    (u_plus, u_minus), (v_plus, v_minus) = (_conditioned_side(*s) for s in (u_given, v_given))
+    return contrib, PairObs(u_plus, v_plus, u_minus, v_minus, obs.u_disc, obs.v_disc)
 
 
 def bicop_loglik(cop: Bicop, obs: PairObs) -> float:

@@ -214,8 +214,8 @@ def assign_risk_groups(p_adverse: np.ndarray, policy: RiskPolicy) -> np.ndarray:
     """Bucket each probability: low if p <= alpha, high if p >= 1 - alpha,
     moderate otherwise (boundaries inclusive on the outer buckets)."""
     p = np.asarray(p_adverse, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("probabilities must lie in [0, 1]")
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
+        raise ValueError("probabilities must be finite and lie in [0, 1]")
     groups = np.full(p.shape, "moderate", dtype=object)
     groups[p <= policy.alpha] = "low"
     groups[p >= 1.0 - policy.alpha] = "high"

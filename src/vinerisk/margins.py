@@ -26,6 +26,24 @@ def _clamp(u):
     return np.clip(u, EPS, 1.0 - EPS)
 
 
+def ordinal_codes(x) -> np.ndarray:
+    """``x`` as integer codes; OrdinalOutOfRange if a value is not whole."""
+    x = np.asarray(x, dtype=float)
+    codes = x.astype(int)
+    if np.any(codes != x):
+        bad = x[codes != x][0]
+        raise OrdinalOutOfRange(f"ordinal codes must be whole numbers, got {bad:g}")
+    return codes
+
+
+def _level_codes(x, levels: int) -> np.ndarray:
+    """``x`` as integer codes of an ordinal variable with ``levels`` levels."""
+    codes = ordinal_codes(x)
+    if np.any(codes < 1) or np.any(codes > levels):
+        raise OrdinalOutOfRange(f"ordinal codes must lie in 1..{levels}")
+    return codes
+
+
 class KernelMargin:
     """Gaussian kernel density estimate of a continuous margin."""
 
@@ -170,30 +188,21 @@ class OrdinalMargin:
         values = np.asarray(values, dtype=float)
         if values.size < 1:
             raise TooFewObservations("ordinal margin needs at least 1 observation")
-        codes = values.astype(int)
-        if np.any(codes < 1) or np.any(codes > levels):
-            raise OrdinalOutOfRange(f"ordinal codes must lie in 1..{levels}")
+        codes = _level_codes(values, levels)
         counts = np.bincount(codes, minlength=levels + 1)[1:]
         probs = (counts + 0.5) / (values.size + 0.5 * levels)
         return cls(probs)
 
-    def _codes(self, x):
-        x = np.asarray(x, dtype=float)
-        codes = x.astype(int)
-        if np.any(codes != x) or np.any(codes < 1) or np.any(codes > self.levels):
-            raise OrdinalOutOfRange(f"ordinal codes must lie in 1..{self.levels}")
-        return codes
-
     def cdf(self, x):
-        return _clamp(self._cum[self._codes(x) - 1])
+        return _clamp(self._cum[_level_codes(x, self.levels) - 1])
 
     def cdf_left(self, x):
-        codes = self._codes(x)
+        codes = _level_codes(x, self.levels)
         left = np.where(codes > 1, self._cum[np.maximum(codes - 2, 0)], 0.0)
         return _clamp(left)
 
     def pdf(self, x):
-        return self.probs[self._codes(x) - 1]
+        return self.probs[_level_codes(x, self.levels) - 1]
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)

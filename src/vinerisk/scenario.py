@@ -16,6 +16,7 @@ import numpy as np
 from .classifier import ClassifierModel, posterior
 from .data import Schema
 from .errors import OrdinalOutOfRange
+from .margins import ordinal_codes
 
 #: Cut points used to annotate BMI axes (metadata only, never logic).
 BMI_CATEGORIES = {
@@ -52,7 +53,7 @@ class GridSpec:
 
     @classmethod
     def level_list(cls, variable: str, levels):
-        levels = tuple(int(v) for v in levels)
+        levels = tuple(ordinal_codes(list(levels)).tolist())
         if not levels:
             raise ValueError("level list must be nonempty")
         return cls(variable=variable, levels=levels)

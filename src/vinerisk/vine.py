@@ -1,10 +1,12 @@
 """Regular vine models on mixed continuous/ordinal margins.
 
 The joint density factorizes over a sequence of trees whose edges carry
-bivariate copulas; conditional (pseudo-)observations propagate from one
-tree to the next through h-functions, with CDF differences and probability
-ratios taking over wherever a coordinate is discrete.  Structure selection
-follows the usual recipe: a maximum spanning tree per level on absolute
+bivariate copulas.  One function, :func:`~vinerisk.bicop.bicop_condition`,
+takes each edge's step: its log density contributions and its conditioned
+pseudo-observations for the next tree, through h-functions, or through CDF
+differences and probability ratios wherever a side is discrete.  This
+module keeps the bookkeeping of which columns each edge joins.  Structure
+selection follows the usual recipe: a maximum spanning tree per level on absolute
 (partial) latent correlations under the proximity condition.  Families and
 the truncation level are chosen by a Bayesian-flavoured information
 criterion with a geometrically decaying prior on non-independence edges.
@@ -22,14 +24,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bicop import (
-    EPS,
     FAMILIES,
     INDEP,
     PairObs,
     ROTATABLE,
     ROTATIONS,
     Bicop,
-    bicop_contributions,
+    bicop_condition,
+    bicop_contributions,  # noqa: F401  (kept importable here: perfbench/tracing.py wraps it)
     bicop_fit,
     bicop_loglik,
     empirical_tau,
@@ -38,9 +40,6 @@ from .bicop import (
 from .errors import TooFewObservations
 from .latent import partial_correlation
 from .margins import margin_from_dict
-
-#: Floor for conditional-probability denominators in discrete propagation.
-MASS_FLOOR = 1e-12
 
 DEFAULT_FAMILIES = ("indep", "gaussian", "studentt", "clayton", "gumbel", "frank", "joe")
 
@@ -264,15 +263,6 @@ class FittedEdge:
         )
 
 
-@dataclass
-class _Col:
-    """One column of conditional pseudo-observations."""
-
-    up: np.ndarray
-    lo: np.ndarray
-    disc: bool
-
-
 def _distinct_columns(x) -> list:
     """``(values, inverse)`` per column: its distinct values and the index
     that scatters results on them back to the rows."""
@@ -282,80 +272,30 @@ def _distinct_columns(x) -> list:
 class _Columns:
     """Conditional pseudo-observations of a vine traversal, keyed by
     (variable, conditioning set): the margins' CDFs to start with, then
-    the columns each tree's edges ``(a, b; D)`` propagate to the next
-    level, ``a`` given ``D | {b}`` and ``b`` given ``D | {a}``."""
+    the sides each edge ``(a, b; D)`` conditions for the next tree, ``a``
+    given ``D | {b}`` and ``b`` given ``D | {a}``.  A column is its values
+    at the observed code and just below it, the latter None when the
+    column is continuous."""
 
     def __init__(self, margins, distinct):
         self._cols = {}
         for j, (m, (values, inverse)) in enumerate(zip(margins, distinct)):
             up = np.asarray(m.cdf(values), dtype=float)[inverse]
-            lo = np.asarray(m.cdf_left(values), dtype=float)[inverse] if m.is_discrete else up
-            self._cols[(j, frozenset())] = _Col(up=up, lo=lo, disc=m.is_discrete)
+            lo = np.asarray(m.cdf_left(values), dtype=float)[inverse] if m.is_discrete else None
+            self._cols[(j, frozenset())] = (up, lo)
 
-    def of(self, edge: Edge) -> tuple[_Col, _Col]:
-        """The columns of an edge's conditioned pair given its conditioning set."""
+    def of(self, edge: Edge) -> PairObs:
+        """The pair of an edge's conditioned variables given its conditioning set."""
+        (up, ulo), (vp, vlo) = (self._cols[(j, edge.conditioning)] for j in edge.conditioned)
+        return PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None)
+
+    def store(self, edge: Edge, given: PairObs) -> None:
+        """Keep an edge's conditioned pair as two columns of the next tree."""
         a, b = edge.conditioned
-        return self._cols[(a, edge.conditioning)], self._cols[(b, edge.conditioning)]
-
-    def condition(self, tree: list[FittedEdge]) -> None:
-        """Propagate through one fitted tree, adding the next level's columns."""
-        for fe in tree:
-            a, b = fe.edge.conditioned
-            col_a, col_b = _propagate(fe.bicop, *self.of(fe.edge))
-            self._cols[(a, fe.edge.conditioning | {b})] = col_a
-            self._cols[(b, fe.edge.conditioning | {a})] = col_b
-
-
-def _pair_obs(ca: _Col, cb: _Col) -> PairObs:
-    return PairObs(
-        u_plus=ca.up,
-        v_plus=cb.up,
-        u_minus=ca.lo if ca.disc else None,
-        v_minus=cb.lo if cb.disc else None,
-        u_disc=ca.disc,
-        v_disc=cb.disc,
-    )
-
-
-def _propagate(cop: Bicop, ca: _Col, cb: _Col) -> tuple[_Col, _Col]:
-    """Condition each side of an edge on the other.
-
-    Returns the column for (a | b, D) and (b | a, D).  When the
-    conditioning side is discrete the conditional CDF is a ratio of CDF
-    differences with the denominator floored at ``MASS_FLOOR``.
-    """
-
-    def cond_on(target: _Col, other: _Col, target_is_u: bool) -> _Col:
-        if not other.disc:
-            direction = "1|2" if target_is_u else "2|1"
-
-            def h(t):
-                return (
-                    cop.hfunc(t, other.up, direction)
-                    if target_is_u
-                    else cop.hfunc(other.up, t, direction)
-                )
-
-            up = h(target.up)
-            lo = h(target.lo) if target.disc else up
-        else:
-            mass = np.maximum(other.up - other.lo, MASS_FLOOR)
-
-            def ratio(t):
-                if target_is_u:
-                    return (cop.cdf(t, other.up) - cop.cdf(t, other.lo)) / mass
-                return (cop.cdf(other.up, t) - cop.cdf(other.lo, t)) / mass
-
-            up = ratio(target.up)
-            lo = ratio(target.lo) if target.disc else up
-        up = np.clip(up, EPS, 1.0 - EPS)
-        if target.disc:
-            lo = np.minimum(np.clip(lo, EPS, 1.0 - EPS), up)
-        else:
-            lo = up
-        return _Col(up=up, lo=lo, disc=target.disc)
-
-    return cond_on(ca, cb, True), cond_on(cb, ca, False)
+        u_minus = given.u_minus if given.u_disc else None
+        v_minus = given.v_minus if given.v_disc else None
+        self._cols[(a, edge.conditioning | {b})] = (given.u_plus, u_minus)
+        self._cols[(b, edge.conditioning | {a})] = (given.v_plus, v_minus)
 
 
 def _edge_candidates(families, rotation_tau: float, any_discrete: bool):
@@ -377,20 +317,6 @@ def _edge_candidates(families, rotation_tau: float, any_discrete: bool):
     return out
 
 
-def _mass_log_total(obs: PairObs) -> float:
-    """Summed log conditional masses of the discrete sides of a pair."""
-    total = 0.0
-    if obs.u_disc:
-        total += float(
-            np.sum(np.log(np.maximum(obs.u_plus - obs.u_minus, MASS_FLOOR)))
-        )
-    if obs.v_disc:
-        total += float(
-            np.sum(np.log(np.maximum(obs.v_plus - obs.v_minus, MASS_FLOOR)))
-        )
-    return total
-
-
 def _fit_edge(
     obs: PairObs, level: int, n: int, config: FitConfig
 ) -> tuple[Bicop, float, float]:
@@ -400,7 +326,7 @@ def _fit_edge(
     discrete side, so an independence copula always contributes zero and
     deviances stay comparable across continuous, mixed and discrete pairs.
     """
-    mass_total = _mass_log_total(obs)
+    mass_total = obs.log_mass_total()
     indep_ll = bicop_loglik(INDEP, obs) - mass_total
     indep_score = -2.0 * indep_ll + edge_penalty(level, 0, n, config.psi0, True)
     best = (INDEP, indep_ll, indep_score)
@@ -485,10 +411,10 @@ def fit_vine(
     trees: list[list[FittedEdge]] = []
     truncation = 0
     for level, tree in enumerate(structure.trees, start=1):
-        fitted = []
-        for edge in tree:
-            cop, ll, score = _fit_edge(_pair_obs(*cols.of(edge)), level, n, config)
-            fitted.append(FittedEdge(edge=edge, bicop=cop, loglik=ll, score=score))
+        pairs = [cols.of(edge) for edge in tree]
+        fitted = [
+            FittedEdge(edge, *_fit_edge(obs, level, n, config)) for edge, obs in zip(tree, pairs)
+        ]
         trees.append(fitted)
         any_dependence = any(fe.bicop.family != "indep" for fe in fitted)
         if any_dependence:
@@ -496,7 +422,8 @@ def fit_vine(
         elif config.truncation_search == "greedy":
             break
         if level < len(structure.trees):
-            cols.condition(fitted)
+            for fe, obs in zip(fitted, pairs):
+                cols.store(fe.edge, bicop_condition(fe.bicop, obs)[1])
     trees = trees[:truncation]
     return VineModel(
         margins=margins,
@@ -519,17 +446,10 @@ def vine_logdensity(model: VineModel, x: np.ndarray) -> np.ndarray:
         dens = np.asarray(m.pdf(values), dtype=float)
         logf += np.log(np.maximum(dens, 1e-300))[inverse]
     cols = _Columns(model.margins, distinct)
-    for level, tree in enumerate(model.trees, start=1):
-        for fe in tree:
-            ca, cb = cols.of(fe.edge)
-            contrib = bicop_contributions(fe.bicop, _pair_obs(ca, cb))
-            if ca.disc:
-                contrib = contrib - np.log(np.maximum(ca.up - ca.lo, MASS_FLOOR))
-            if cb.disc:
-                contrib = contrib - np.log(np.maximum(cb.up - cb.lo, MASS_FLOOR))
-            logf += contrib
-        if level < model.truncation:
-            cols.condition(tree)
+    for fe in model.all_edges():
+        contrib, conditioned = bicop_condition(fe.bicop, cols.of(fe.edge))
+        logf += contrib
+        cols.store(fe.edge, conditioned)
     return logf
 
 
@@ -600,23 +520,24 @@ def _quadrature_spearman(cop: Bicop, rule) -> float:
     return float(12.0 * w @ cop.cdf(u, v) @ w - 3.0)
 
 
-def model_spearman(cop: Bicop, n_samples: int = 100_000, seed: int = 0) -> float:
+def model_spearman(cop: Bicop) -> float:
     """Spearman's rho implied by a pair-copula, ``12 * int int C - 3``
     (Nelsen 2006, Thm 5.1.6).
 
-    Deterministic: the integral is taken by a fixed 128 x 128
+    Deterministic.  The Gaussian's is exact, ``6/pi * asin(rho/2)``; for
+    the other families the integral is taken by a fixed 128 x 128
     Gauss-Legendre product rule, within 5e-6 of the exact value over every
-    family's parameter range.  ``n_samples`` and ``seed`` are accepted and
-    ignored, so existing callers keep working.
+    family's parameter range.
     """
+    if cop.family == "gaussian":
+        return 6.0 / math.pi * math.asin(cop.params[0] / 2.0)
     return _quadrature_spearman(cop, _SPEARMAN_RULE)
 
 
-def edge_report(model: VineModel, n_samples: int = 100_000, seed: int = 0):
+def edge_report(model: VineModel):
     """One row per fitted edge: label, family, parameters, tau, Spearman.
 
-    The Spearman column is :func:`model_spearman`'s deterministic quadrature;
-    ``n_samples`` and ``seed`` are ignored.
+    The Spearman column is :func:`model_spearman`'s.
     """
     rows = []
     for level, tree in enumerate(model.trees, start=1):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -14,10 +15,12 @@ from vinerisk.bicop import (
     FAMILIES,
     INDEP,
     LOG_FLOOR,
+    MASS_FLOOR,
     PairObs,
     ROTATABLE,
     ROTATIONS,
     Bicop,
+    bicop_condition,
     bicop_contributions,
     bicop_fit,
     bicop_loglik,
@@ -751,3 +754,189 @@ def test_contributions_equal_clipped_public_methods(family, rotation):
         obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm, u_disc=True, v_disc=True)
         rect = cop.cdf(up, vp) - cop.cdf(up, vm) - cop.cdf(um, vp) + cop.cdf(um, vm)
         assert_array_equal(bicop_contributions(cop, obs), np.log(np.maximum(rect, CONTRIB_FLOOR)))
+
+
+# ---------------------------------------------------------------------------
+# bicop_condition against the vine's former two-module route
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Col:
+    up: np.ndarray
+    lo: np.ndarray
+    disc: bool
+
+
+def _propagate_reference(cop, ca, cb):
+    """The vine's conditioning before it moved into bicop_condition."""
+
+    def cond_on(target, other, target_is_u):
+        if not other.disc:
+            direction = "1|2" if target_is_u else "2|1"
+
+            def h(t):
+                return (
+                    cop.hfunc(t, other.up, direction)
+                    if target_is_u
+                    else cop.hfunc(other.up, t, direction)
+                )
+
+            up = h(target.up)
+            lo = h(target.lo) if target.disc else up
+        else:
+            mass = np.maximum(other.up - other.lo, MASS_FLOOR)
+
+            def ratio(t):
+                if target_is_u:
+                    return (cop.cdf(t, other.up) - cop.cdf(t, other.lo)) / mass
+                return (cop.cdf(other.up, t) - cop.cdf(other.lo, t)) / mass
+
+            up = ratio(target.up)
+            lo = ratio(target.lo) if target.disc else up
+        up = np.clip(up, EPS, 1.0 - EPS)
+        if target.disc:
+            lo = np.minimum(np.clip(lo, EPS, 1.0 - EPS), up)
+        else:
+            lo = up
+        return _Col(up=up, lo=lo, disc=target.disc)
+
+    return cond_on(ca, cb, True), cond_on(cb, ca, False)
+
+
+def _contributions_reference(cop, obs):
+    """bicop_contributions before it shared its terms with bicop_condition."""
+    if not obs.u_disc and not obs.v_disc:
+        return np.maximum(cop._logpdf(obs.u_plus, obs.v_plus), LOG_FLOOR)
+    if obs.u_disc and not obs.v_disc:
+        diff = cop._hfunc(obs.u_plus, obs.v_plus, "1|2") - cop._hfunc(
+            obs.u_minus, obs.v_plus, "1|2"
+        )
+        return np.log(np.maximum(diff, CONTRIB_FLOOR))
+    if not obs.u_disc and obs.v_disc:
+        diff = cop._hfunc(obs.u_plus, obs.v_plus, "2|1") - cop._hfunc(
+            obs.u_plus, obs.v_minus, "2|1"
+        )
+        return np.log(np.maximum(diff, CONTRIB_FLOOR))
+    rect = (
+        cop._cdf(obs.u_plus, obs.v_plus)
+        - cop._cdf(obs.u_plus, obs.v_minus)
+        - cop._cdf(obs.u_minus, obs.v_plus)
+        + cop._cdf(obs.u_minus, obs.v_minus)
+    )
+    return np.log(np.maximum(rect, CONTRIB_FLOOR))
+
+
+def _step_reference(cop, ca, cb):
+    """Contributions with the vine's former mass normalisation, and the
+    conditioned columns of _propagate_reference."""
+    obs = PairObs(
+        u_plus=ca.up,
+        v_plus=cb.up,
+        u_minus=ca.lo if ca.disc else None,
+        v_minus=cb.lo if cb.disc else None,
+        u_disc=ca.disc,
+        v_disc=cb.disc,
+    )
+    contrib = _contributions_reference(cop, obs)
+    if ca.disc:
+        contrib = contrib - np.log(np.maximum(ca.up - ca.lo, MASS_FLOOR))
+    if cb.disc:
+        contrib = contrib - np.log(np.maximum(cb.up - cb.lo, MASS_FLOOR))
+    return (contrib, *_propagate_reference(cop, ca, cb)), obs
+
+
+def _oracle_columns():
+    """Columns on a grid reaching the EPS edges, with masses from 0 and
+    below MASS_FLOOR up to 0.4, crossed between the two sides."""
+    tops = [EPS, 1e-7, 0.05, 0.3, 0.5, 0.8, 0.97, 1.0 - 1e-7, 1.0 - EPS]
+    widths = [0.0, 5e-13, 1e-4, 0.1, 0.4]
+    up, w = (g.ravel() for g in np.meshgrid(tops, widths))
+    lo = np.maximum(up - w, EPS)
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(up.size), np.arange(up.size)))
+    return (up[i], lo[i]), (up[j], lo[j])
+
+
+# every combination on continuous pairs; the vine never pairs the
+# Student-t with a discrete side
+_CONDITION_CASES = [
+    (family, rotation, u_disc, v_disc)
+    for family, rotation in ALL_COMBOS
+    for u_disc, v_disc in [(False, False), (True, False), (False, True), (True, True)]
+    if family != "studentt" or not (u_disc or v_disc)
+]
+
+
+@pytest.mark.parametrize("family,rotation,u_disc,v_disc", _CONDITION_CASES)
+@pytest.mark.parametrize("tau", [0.3, 0.75])
+def test_condition_matches_former_vine_route(family, rotation, u_disc, v_disc, tau):
+    cop = make(family, rotation, -tau if rotation in (90, 270) else tau)
+    (up, ulo), (vp, vlo) = _oracle_columns()
+    ca = _Col(up=up, lo=ulo if u_disc else up, disc=u_disc)
+    cb = _Col(up=vp, lo=vlo if v_disc else vp, disc=v_disc)
+    (want, want_a, want_b), obs = _step_reference(cop, ca, cb)
+    contrib, given = bicop_condition(cop, obs)
+    assert_array_equal(bicop_contributions(cop, obs), _contributions_reference(cop, obs))
+    assert_array_equal(contrib, want)
+    assert (given.u_disc, given.v_disc) == (u_disc, v_disc)
+    assert_array_equal(given.u_plus, want_a.up)
+    assert_array_equal(given.u_minus, want_a.lo)
+    assert_array_equal(given.v_plus, want_b.up)
+    assert_array_equal(given.v_minus, want_b.lo)
+
+
+def test_mass_total_keeps_one_sum_per_side():
+    (up, ulo), (vp, vlo) = _oracle_columns()
+    obs = PairObs(u_plus=up, v_plus=vp, u_minus=ulo, v_minus=vlo, u_disc=True, v_disc=True)
+    want = 0.0
+    want += float(np.sum(np.log(np.maximum(up - ulo, MASS_FLOOR))))
+    want += float(np.sum(np.log(np.maximum(vp - vlo, MASS_FLOOR))))
+    assert obs.log_mass_total() == want
+    assert PairObs.continuous(up, vp).log_mass_total() == 0.0
+
+
+@pytest.mark.parametrize(
+    "u_disc,v_disc,calls",
+    [
+        (True, True, {"_cdf": 4}),
+        (True, False, {"_hfunc": 2, "_cdf": 2}),
+        (False, True, {"_hfunc": 2, "_cdf": 2}),
+        (False, False, {"_logpdf": 1, "_hfunc": 2}),
+    ],
+)
+def test_condition_evaluates_each_copula_term_once(monkeypatch, u_disc, v_disc, calls):
+    counts = {}
+    for name in ("_cdf", "_hfunc", "_logpdf"):
+        method = getattr(Bicop, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Bicop, name, counted)
+    (up, ulo), (vp, vlo) = _oracle_columns()
+    obs = PairObs(
+        u_plus=up,
+        v_plus=vp,
+        u_minus=ulo if u_disc else None,
+        v_minus=vlo if v_disc else None,
+        u_disc=u_disc,
+        v_disc=v_disc,
+    )
+    bicop_condition(make("gumbel", 0, 0.5), obs)
+    assert counts == calls
+
+
+@pytest.mark.parametrize("family,rotation", ALL_COMBOS + [("indep", 0)])
+def test_scalar_arguments_give_scalars(family, rotation):
+    tau = -0.4 if rotation in (90, 270) else 0.4
+    cop = INDEP if family == "indep" else make(family, rotation, tau)
+    results = (
+        cop.cdf(0.3, 0.6),
+        cop.logpdf(0.3, 0.6),
+        cop.hfunc(0.3, 0.6, "1|2"),
+        cop.hfunc(0.3, 0.6, "2|1"),
+        cop.hinv(0.3, 0.6, "1|2"),
+        cop.hinv(0.3, 0.6, "2|1"),
+    )
+    assert [np.shape(r) for r in results] == [()] * len(results)

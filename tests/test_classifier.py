@@ -193,6 +193,15 @@ class TestRiskGroups:
         with pytest.raises(ValueError):
             assign_risk_groups(np.array([-0.1]), RiskPolicy(0.2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_raise(self, bad):
+        # NaN passes both range comparisons; it must not become "moderate"
+        p = np.array([bad, 0.1, 0.95])
+        with pytest.raises(ValueError, match="finite"):
+            assign_risk_groups(p, RiskPolicy(0.2))
+        with pytest.raises(ValueError, match="finite"):
+            risk_group_report(p, np.array([0, 0, 1]), [0.2])
+
     def test_report_rows(self):
         p = np.array([0.05, 0.10, 0.60, 0.95, 0.92])
         labels = np.array([0, 0, 1, 1, 1])

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from vinerisk.data import VariableSpec
-from vinerisk.errors import DegenerateMargin, TooFewObservations
+from vinerisk.errors import DegenerateMargin, OrdinalOutOfRange, TooFewObservations
 from vinerisk.margins import (
     EPS,
     EmpiricalMargin,
@@ -97,6 +97,15 @@ class TestOrdinalMargin:
             assert_allclose(up - lo, m.pdf(float(k)), atol=2 * EPS)
         assert m.cdf_left(1.0) == EPS
         assert m.cdf(3.0) == 1.0 - EPS
+
+    def test_fit_rejects_non_integer_codes(self):
+        # the codes cdf and pdf reject are rejected by fit too, not truncated
+        with pytest.raises(OrdinalOutOfRange):
+            OrdinalMargin.fit(np.array([1.5, 2.0, 3.0, 2.7]), levels=3)
+        with pytest.raises(OrdinalOutOfRange):
+            OrdinalMargin.fit(np.array([1.0, 2.0, 3.0]), levels=2)
+        with pytest.raises(OrdinalOutOfRange):
+            OrdinalMargin.fit(np.array([1.0, 2.0, 3.0]), levels=3).cdf(2.5)
 
     def test_quantile_inverts_cdf(self):
         m = OrdinalMargin.fit(np.array([1.0, 2.0, 2.0, 3.0]), levels=3)

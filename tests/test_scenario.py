@@ -72,6 +72,8 @@ class TestGridSpec:
             GridSpec.linspace("x1", 0.0, 1.0, points=1)
         with pytest.raises(ValueError):
             GridSpec.level_list("x1", [])
+        with pytest.raises(OrdinalOutOfRange):
+            GridSpec.level_list("o1", [1.5, 2])
 
     def test_schema_validation(self):
         schema = Schema(
