@@ -144,7 +144,8 @@ def rotated_tau(tau: float, rotation: int) -> float:
 #   hinv(q, y, p)     inverse of hfunc in x: closed form, or the safeguarded
 #                     Newton solver _newton_hinv (gumbel, joe)
 #   tau(p) / par_from_tau(tau)
-#   tau_range()       attainable Kendall-tau interval within ``bounds``
+# and ``bounds``, one (lower, upper) pair per parameter.  Tau at the lower and
+# at the upper bounds spans the attainable interval (:func:`family_tau_range`).
 # ---------------------------------------------------------------------------
 
 
@@ -176,10 +177,6 @@ class _Indep:
     @staticmethod
     def par_from_tau(tau):
         raise ValueError("independence copula has no parameter")
-
-    @staticmethod
-    def tau_range():
-        return (0.0, 0.0)
 
 
 class _Gaussian:
@@ -217,11 +214,6 @@ class _Gaussian:
     @staticmethod
     def par_from_tau(tau):
         return (math.sin(math.pi * tau / 2.0),)
-
-    @classmethod
-    def tau_range(cls):
-        r = 2.0 / math.pi * math.asin(cls.bounds[0][1])
-        return (-r, r)
 
 
 class _StudentT(_Gaussian):
@@ -336,11 +328,6 @@ class _Clayton:
     def par_from_tau(tau):
         return (2.0 * tau / (1.0 - tau),)
 
-    @classmethod
-    def tau_range(cls):
-        lo, hi = cls.bounds[0]
-        return (lo / (lo + 2.0), hi / (hi + 2.0))
-
 
 class _Gumbel:
     name = "gumbel"
@@ -396,10 +383,6 @@ class _Gumbel:
     @staticmethod
     def par_from_tau(tau):
         return (1.0 / (1.0 - tau),)
-
-    @classmethod
-    def tau_range(cls):
-        return (0.0, 1.0 - 1.0 / cls.bounds[0][1])
 
 
 class _Frank:
@@ -468,11 +451,6 @@ class _Frank:
     def par_from_tau(tau):
         return (math.copysign(_frank_theta_abs(abs(tau)), tau),)
 
-    @classmethod
-    def tau_range(cls):
-        r = _frank_tau_abs(cls.bounds[0][1])
-        return (-r, r)
-
 
 class _Joe:
     name = "joe"
@@ -527,10 +505,6 @@ class _Joe:
         lo, hi = _Joe.bounds[0]
         return (optimize.brentq(lambda d: _joe_tau(d) - tau, lo + 1e-9, hi, xtol=1e-10),)
 
-    @classmethod
-    def tau_range(cls):
-        return (0.0, _joe_tau(cls.bounds[0][1]))
-
 
 @lru_cache(maxsize=512)
 def _frank_tau_abs(theta: float) -> float:
@@ -576,8 +550,11 @@ _FAM = {
 
 
 def family_tau_range(family: str) -> tuple[float, float]:
-    """Attainable Kendall-tau interval of the base (unrotated) family."""
-    return _FAM[family].tau_range()
+    """Attainable Kendall-tau interval of the base (unrotated) family: tau at
+    the lower and at the upper parameter bounds."""
+    fam = _FAM[family]
+    lower, upper = (tuple(bound[end] for bound in fam.bounds) for end in (0, 1))
+    return fam.tau(lower), fam.tau(upper)
 
 
 # ---------------------------------------------------------------------------
@@ -776,16 +753,6 @@ class PairObs:
     def midpoints(self):
         return 0.5 * (self.u_plus + self.u_minus), 0.5 * (self.v_plus + self.v_minus)
 
-    def swapped(self) -> "PairObs":
-        return PairObs(
-            u_plus=self.v_plus,
-            v_plus=self.u_plus,
-            u_minus=self.v_minus,
-            v_minus=self.u_minus,
-            u_disc=self.v_disc,
-            v_disc=self.u_disc,
-        )
-
     def masses(self) -> tuple:
         """Per side, ``plus - minus`` floored at ``MASS_FLOOR``: the probability
         of a discrete side's observed code; None for a continuous side."""
@@ -836,12 +803,9 @@ def bicop_contributions(cop: Bicop, obs: PairObs) -> np.ndarray:
 
 
 def _conditioned_side(plus, minus):
-    """A conditioned side clipped into [EPS, 1 - EPS]; a discrete side's
-    lower corner is capped at its upper one."""
-    plus = np.clip(plus, EPS, 1.0 - EPS)
-    if minus is None:
-        return plus, None
-    return plus, np.minimum(np.clip(minus, EPS, 1.0 - EPS), plus)
+    """A conditioned side with a discrete side's lower corner capped at its
+    upper one (:class:`PairObs` clips both into [EPS, 1 - EPS])."""
+    return plus, None if minus is None else np.minimum(minus, plus)
 
 
 def bicop_condition(cop: Bicop, obs: PairObs) -> tuple[np.ndarray, PairObs]:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import rankdata
 
-from .data import Dataset, Schema
+from .data import Dataset, Schema, check_rows
 from .errors import DegenerateLabels, TooFewObservations
 from .latent import latent_correlation_matrix
 from .margins import fit_margin
@@ -117,8 +117,9 @@ def fit_classifier(
 
 
 def class_logdensity(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
-    """Matrix of per-class log densities, one column per class."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """Matrix of per-class log densities, one column per class, of the rows
+    of ``x`` checked by :func:`~vinerisk.data.check_rows`."""
+    x = check_rows(model.schema, np.atleast_2d(x))
     return np.column_stack([vine_logdensity(v, x) for v in model.vines])
 
 

@@ -373,12 +373,15 @@ def _cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: _Parser, *, seed_required: bool) -> None:
+def _add_common(p: _Parser, func, *, stochastic: bool) -> None:
+    """The subcommand's body ``func`` and the flags every subcommand takes;
+    a stochastic one also takes ``--seed`` and fails without it."""
     p.add_argument("--config", help="JSON file supplying defaults for any flag")
     p.add_argument("--workers", type=int, default=None,
                    help="reserved; results never depend on it")
-    if seed_required:
+    if stochastic:
         p.add_argument("--seed", type=int, required=False, default=None)
+    p.set_defaults(func=func, stochastic=stochastic)
 
 
 def _add_fit_flags(p: _Parser) -> None:
@@ -397,7 +400,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[], help="generate benchmark data")
-    _add_common(p, seed_required=True)
+    _add_common(p, _cmd_simulate, stochastic=True)
     p.add_argument("--variant", choices=("continuous", "mixed"), default=None)
     p.add_argument("--n-train", type=int, default=None)
     p.add_argument("--n-test", type=int, default=None)
@@ -405,53 +408,47 @@ def build_parser() -> _Parser:
     p.add_argument("--schema-out", default=None)
     p.add_argument("--train-out", default=None)
     p.add_argument("--test-out", default=None)
-    p.set_defaults(func=_cmd_simulate, stochastic=True)
 
     p = sub.add_parser("fit", help="train a classifier from CSV")
-    _add_common(p, seed_required=True)
+    _add_common(p, _cmd_fit, stochastic=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
     _add_fit_flags(p)
-    p.set_defaults(func=_cmd_fit, stochastic=True)
 
     p = sub.add_parser("predict", help="posterior probabilities for a CSV")
-    _add_common(p, seed_required=False)
+    _add_common(p, _cmd_predict, stochastic=False)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", default=None, help="comma list adds group columns")
-    p.set_defaults(func=_cmd_predict, stochastic=False)
 
     p = sub.add_parser("evaluate", help="calibration metrics for posteriors")
-    _add_common(p, seed_required=False)
+    _add_common(p, _cmd_evaluate, stochastic=False)
     p.add_argument("--posteriors", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate, stochastic=False)
 
     p = sub.add_parser("risk-groups", help="low/moderate/high group report")
-    _add_common(p, seed_required=False)
+    _add_common(p, _cmd_risk_groups, stochastic=False)
     p.add_argument("--posteriors", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--alpha", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_risk_groups, stochastic=False)
 
     p = sub.add_parser("scenario", help="risk curves and surfaces")
-    _add_common(p, seed_required=False)
+    _add_common(p, _cmd_scenario, stochastic=False)
     p.add_argument("--model", required=True)
     p.add_argument("--profile", required=True, help="JSON {variable: value}")
     p.add_argument("--grid", required=True)
     p.add_argument("--grid2", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--meta-out", default=None)
-    p.set_defaults(func=_cmd_scenario, stochastic=False)
 
     p = sub.add_parser("diagnose", help="conditional-dependence diagnostics")
-    _add_common(p, seed_required=True)
+    _add_common(p, _cmd_diagnose, stochastic=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--x", required=True)
@@ -463,10 +460,9 @@ def build_parser() -> _Parser:
     p.add_argument("--for-class", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--scores-out", default=None)
-    p.set_defaults(func=_cmd_diagnose, stochastic=True)
 
     p = sub.add_parser("benchmark", help="copula vs logistic comparison")
-    _add_common(p, seed_required=False)
+    _add_common(p, _cmd_benchmark, stochastic=False)
     p.add_argument("--variant", choices=("continuous", "mixed", "both"), default=None)
     p.add_argument("--seeds", required=True, help="e.g. 0:20 or 3,5,9")
     p.add_argument("--n-train", type=int, default=None)
@@ -478,7 +474,6 @@ def build_parser() -> _Parser:
     p.add_argument("--meta-out", default=None)
     p.add_argument("--seed", type=int, default=None, help="unused; seeds drive RNG")
     _add_fit_flags(p)
-    p.set_defaults(func=_cmd_benchmark, stochastic=False)
 
     return parser
 
@@ -488,7 +483,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _merge_config(args)
-        if getattr(args, "stochastic", False) and getattr(args, "seed", None) is None:
+        if args.stochastic and args.seed is None:
             return _fail(f"{args.command} requires --seed")
         if args.workers is not None and args.workers < 1:
             return _fail("--workers must be >= 1")
@@ -497,7 +492,7 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code or 0)
     except VineRiskError as exc:
         return _fail(str(exc), type(exc).__name__)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         return _fail(str(exc), type(exc).__name__)
 
 

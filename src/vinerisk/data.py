@@ -4,6 +4,13 @@ A :class:`Schema` declares each modeled variable as either continuous or
 ordinal (positive integer codes ``1..levels``), plus optional label and
 auxiliary columns.  A :class:`Dataset` is a schema-validated numeric table;
 missing values are rejected rather than imputed.
+
+This module holds the package's one input rule: :func:`ordinal_codes`
+accepts only whole numbers in ``1..levels`` (OrdinalOutOfRange otherwise),
+and :func:`check_rows` accepts a table of the schema's width whose cells
+are all finite (MissingValue otherwise) and whose ordinal cells pass
+:func:`ordinal_codes`.  Margins, latent estimators, scenario profiles and
+grids, and scoring call these two instead of checking on their own.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from .errors import (
 
 CONTINUOUS = "continuous"
 ORDINAL = "ordinal"
+
+#: Largest code accepted when no level count is given: beyond 2**53 floats
+#: no longer tell neighbouring whole numbers apart.
+_MAX_CODE = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -149,17 +160,56 @@ def _parse_cell(text: str, column: str, row: int) -> float:
     return value
 
 
-def _check_ordinal(values: np.ndarray, spec: VariableSpec) -> None:
-    if not np.all(values == np.round(values)):
-        bad = values[values != np.round(values)][0]
-        raise OrdinalOutOfRange(
-            f"ordinal column {spec.name!r} contains non-integer code {bad!r}"
+def ordinal_codes(x, levels: Optional[int] = None) -> np.ndarray:
+    """``x`` as integer ordinal codes.
+
+    Raises
+    ------
+    OrdinalOutOfRange
+        If a value is not a whole number in ``1..levels`` (``1..`` without
+        an upper end when ``levels`` is None); NaN and +/-inf are not whole.
+    """
+    x = np.asarray(x, dtype=float)
+    hi = _MAX_CODE if levels is None else levels
+    ok = (x >= 1.0) & (x <= hi) & (x == np.floor(x))
+    if not ok.all():
+        bad = float(x[~ok].flat[0])
+        allowed = ">= 1" if levels is None else f"in 1..{levels}"
+        raise OrdinalOutOfRange(f"ordinal code {bad!r} is not a whole number {allowed}")
+    return x.astype(int)
+
+
+def check_rows(schema: Schema, x) -> np.ndarray:
+    """``x`` as a float table of ``schema``'s variables, one row per case.
+
+    The one input rule for modeled values: every cell finite, every ordinal
+    cell a code of :func:`ordinal_codes`.
+
+    Raises
+    ------
+    SchemaError
+        If ``x`` is not 2-D with one column per schema variable.
+    MissingValue
+        For a non-finite cell.
+    OrdinalOutOfRange
+        For an ordinal cell that is not a whole number in ``1..levels``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != schema.d:
+        raise SchemaError(f"data has shape {x.shape}, schema expects {schema.d} columns")
+    finite = np.isfinite(x)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise MissingValue(
+            f"non-finite value {float(x[i, j])!r} in column {schema.names[j]!r}, row {i}"
         )
-    lo, hi = values.min(initial=1), values.max(initial=1)
-    if lo < 1 or hi > spec.levels:
-        raise OrdinalOutOfRange(
-            f"ordinal column {spec.name!r} has codes outside 1..{spec.levels}"
-        )
+    for j, spec in enumerate(schema.variables):
+        if spec.is_ordinal:
+            try:
+                ordinal_codes(x[:, j], spec.levels)
+            except OrdinalOutOfRange as exc:
+                raise OrdinalOutOfRange(f"column {spec.name!r}: {exc}") from None
+    return x
 
 
 def _check_labels(values: np.ndarray) -> None:
@@ -182,16 +232,7 @@ class Dataset:
     aux: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.x.ndim != 2 or self.x.shape[1] != self.schema.d:
-            raise SchemaError(
-                f"data has shape {self.x.shape}, schema expects {self.schema.d} columns"
-            )
-        if not np.all(np.isfinite(self.x)):
-            raise MissingValue("dataset contains non-finite values")
-        for j, spec in enumerate(self.schema.variables):
-            if spec.is_ordinal and self.n:
-                _check_ordinal(self.x[:, j], spec)
+        self.x = check_rows(self.schema, self.x)
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != (self.n,):

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import ndtri
 
+from .data import ordinal_codes
 from .latent import normal_scores, ordinal_thresholds, polyserial_rho
 from .vine import VineModel, model_spearman
 
@@ -220,12 +221,12 @@ def latent_normal_scores(x, codes, levels: int, seed: int = 0) -> tuple:
     Returns ``(z_continuous, z_latent)``.
     """
     x = np.asarray(x, dtype=float)
-    codes = np.asarray(codes, dtype=float)
+    codes = ordinal_codes(codes, levels)
     rho = polyserial_rho(x, codes, levels)
     thresholds = ordinal_thresholds(codes, levels)
     zx = normal_scores(x)
-    lo = thresholds[(codes - 1).astype(int)]
-    hi = thresholds[codes.astype(int)]
+    lo = thresholds[codes - 1]
+    hi = thresholds[codes]
     mean = rho * zx
     sd = np.sqrt(1.0 - rho * rho)
     a = (lo - mean) / sd

@@ -2,8 +2,12 @@
 
 Continuous-continuous pairs use the Pearson correlation of normal scores,
 continuous-ordinal pairs a two-step polyserial estimate and ordinal-ordinal
-pairs a two-step polychoric estimate (thresholds from marginal proportions,
-then one-dimensional likelihood maximization over the latent correlation).
+pairs a two-step polychoric estimate (thresholds from the smoothed category
+proportions of :func:`~vinerisk.margins.smoothed_level_probs`, then
+one-dimensional likelihood maximization over the latent correlation).
+Ordinal codes pass :func:`~vinerisk.data.ordinal_codes` first, so a code
+outside ``1..levels`` raises OrdinalOutOfRange instead of shifting the
+thresholds.
 The assembled matrix is repaired to positive definiteness by eigenvalue
 clipping, and partial correlations are obtained with the standard
 recursion.
@@ -18,8 +22,9 @@ from scipy import optimize, stats
 from scipy.special import ndtr, ndtri
 
 from .bvn import bvn_cdf
-from .data import Dataset
+from .data import Dataset, ordinal_codes
 from .errors import DegenerateMargin, NearSingular, TooFewObservations
+from .margins import smoothed_level_probs
 
 #: Floor for cell probabilities inside latent likelihoods.
 PROB_FLOOR = 1e-12
@@ -54,10 +59,7 @@ def ordinal_thresholds(codes, levels: int) -> np.ndarray:
 
     Returns an array of length ``levels + 1`` including ``-inf`` and ``inf``.
     """
-    codes = np.asarray(codes).astype(int)
-    n = codes.size
-    counts = np.bincount(codes, minlength=levels + 1)[1:]
-    probs = (counts + 0.5) / (n + 0.5 * levels)
+    probs = smoothed_level_probs(ordinal_codes(codes, levels), levels)
     cum = np.cumsum(probs)[:-1]
     return np.concatenate(([-np.inf], ndtri(cum), [np.inf]))
 
@@ -65,7 +67,7 @@ def ordinal_thresholds(codes, levels: int) -> np.ndarray:
 def polyserial_rho(x, codes, levels: int) -> float:
     """Two-step polyserial correlation of a continuous and an ordinal sample."""
     x = np.asarray(x, float)
-    codes = np.asarray(codes).astype(int)
+    codes = ordinal_codes(codes, levels)
     if x.size < MIN_OBS:
         raise TooFewObservations(f"need at least {MIN_OBS} rows, got {x.size}")
     z = normal_scores(x)
@@ -86,8 +88,8 @@ def polyserial_rho(x, codes, levels: int) -> float:
 
 def polychoric_rho(codes1, levels1: int, codes2, levels2: int) -> float:
     """Two-step polychoric correlation of two ordinal samples."""
-    codes1 = np.asarray(codes1).astype(int)
-    codes2 = np.asarray(codes2).astype(int)
+    codes1 = ordinal_codes(codes1, levels1)
+    codes2 = ordinal_codes(codes2, levels2)
     if codes1.size < MIN_OBS:
         raise TooFewObservations(f"need at least {MIN_OBS} rows, got {codes1.size}")
     thr1 = ordinal_thresholds(codes1, levels1)

@@ -3,9 +3,11 @@
 Continuous variables get either a Gaussian kernel density (Silverman
 rule-of-thumb bandwidth) or a piecewise-linear empirical CDF on the
 ``rank/(n+1)`` scale; ordinal variables get smoothed category frequencies
-with half a pseudo-count per level.  All CDF evaluations are clamped to
-``[EPS, 1-EPS]`` so downstream copula arguments stay strictly inside the
-unit interval.
+with half a pseudo-count per level (:func:`smoothed_level_probs`, shared
+with the latent thresholds).  Ordinal values pass
+:func:`~vinerisk.data.ordinal_codes` on fit and on every evaluation.  All
+CDF evaluations are clamped to ``[EPS, 1-EPS]`` so downstream copula
+arguments stay strictly inside the unit interval.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from .data import VariableSpec
-from .errors import DegenerateMargin, OrdinalOutOfRange, TooFewObservations
+from .data import VariableSpec, ordinal_codes
+from .errors import DegenerateMargin, TooFewObservations
 
 #: Clamp for probability-scale outputs handed to copulas.
 EPS = 1e-10
@@ -26,22 +28,11 @@ def _clamp(u):
     return np.clip(u, EPS, 1.0 - EPS)
 
 
-def ordinal_codes(x) -> np.ndarray:
-    """``x`` as integer codes; OrdinalOutOfRange if a value is not whole."""
-    x = np.asarray(x, dtype=float)
-    codes = x.astype(int)
-    if np.any(codes != x):
-        bad = x[codes != x][0]
-        raise OrdinalOutOfRange(f"ordinal codes must be whole numbers, got {bad:g}")
-    return codes
-
-
-def _level_codes(x, levels: int) -> np.ndarray:
-    """``x`` as integer codes of an ordinal variable with ``levels`` levels."""
-    codes = ordinal_codes(x)
-    if np.any(codes < 1) or np.any(codes > levels):
-        raise OrdinalOutOfRange(f"ordinal codes must lie in 1..{levels}")
-    return codes
+def smoothed_level_probs(codes, levels: int) -> np.ndarray:
+    """Category frequencies of ``codes`` with half a pseudo-count per level,
+    ``(counts + 0.5) / (n + 0.5 * levels)``, for valid integer codes."""
+    counts = np.bincount(codes, minlength=levels + 1)[1:]
+    return (counts + 0.5) / (codes.size + 0.5 * levels)
 
 
 class KernelMargin:
@@ -188,21 +179,18 @@ class OrdinalMargin:
         values = np.asarray(values, dtype=float)
         if values.size < 1:
             raise TooFewObservations("ordinal margin needs at least 1 observation")
-        codes = _level_codes(values, levels)
-        counts = np.bincount(codes, minlength=levels + 1)[1:]
-        probs = (counts + 0.5) / (values.size + 0.5 * levels)
-        return cls(probs)
+        return cls(smoothed_level_probs(ordinal_codes(values, levels), levels))
 
     def cdf(self, x):
-        return _clamp(self._cum[_level_codes(x, self.levels) - 1])
+        return _clamp(self._cum[ordinal_codes(x, self.levels) - 1])
 
     def cdf_left(self, x):
-        codes = _level_codes(x, self.levels)
+        codes = ordinal_codes(x, self.levels)
         left = np.where(codes > 1, self._cum[np.maximum(codes - 2, 0)], 0.0)
         return _clamp(left)
 
     def pdf(self, x):
-        return self.probs[_level_codes(x, self.levels) - 1]
+        return self.probs[ordinal_codes(x, self.levels) - 1]
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)

@@ -3,7 +3,10 @@
 A base profile fixes every variable; a grid sweeps one (curve) or two
 (surface) of them and the classifier's adverse-class posterior is
 evaluated at each grid point.  Surfaces also flag where the 0.5
-iso-probability line crosses grid cells.
+iso-probability line crosses grid cells.  Profiles and level lists are
+checked by the data module's input rule (:func:`~vinerisk.data.check_rows`,
+:func:`~vinerisk.data.ordinal_codes`), and so is every grid row, since
+:func:`~vinerisk.classifier.posterior` scores only valid rows.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .classifier import ClassifierModel, posterior
-from .data import Schema
-from .errors import OrdinalOutOfRange
-from .margins import ordinal_codes
+from .data import Schema, check_rows, ordinal_codes
 
 #: Cut points used to annotate BMI axes (metadata only, never logic).
 BMI_CATEGORIES = {
@@ -45,8 +46,8 @@ class GridSpec:
 
     @classmethod
     def linspace(cls, variable: str, lo: float, hi: float, points: int = 200):
-        if not lo < hi:
-            raise ValueError("grid needs lo < hi")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError("grid needs finite lo < hi")
         if points < 2:
             raise ValueError("grid needs at least 2 points")
         return cls(variable=variable, lo=float(lo), hi=float(hi), points=int(points))
@@ -67,14 +68,10 @@ class GridSpec:
     def validate(self, schema: Schema) -> None:
         spec = schema.variables[schema.index_of(self.variable)]
         if self.levels is not None:
-            if spec.kind != "ordinal":
+            if not spec.is_ordinal:
                 raise ValueError(f"{self.variable} is continuous; use a range grid")
-            for lev in self.levels:
-                if not 1 <= lev <= spec.levels:
-                    raise OrdinalOutOfRange(
-                        f"level {lev} invalid for {self.variable} (1..{spec.levels})"
-                    )
-        elif spec.kind == "ordinal":
+            ordinal_codes(self.levels, spec.levels)
+        elif spec.is_ordinal:
             raise ValueError(f"{self.variable} is ordinal; use a level-list grid")
 
 
@@ -85,18 +82,11 @@ class BaseProfile:
     values: dict
 
     def row(self, schema: Schema) -> np.ndarray:
-        out = np.empty(schema.d)
-        for j, spec in enumerate(schema.variables):
-            if spec.name not in self.values:
-                raise ValueError(f"profile missing variable {spec.name!r}")
-            v = float(self.values[spec.name])
-            if spec.kind == "ordinal":
-                if v != int(v) or not 1 <= int(v) <= spec.levels:
-                    raise OrdinalOutOfRange(
-                        f"profile value {v} invalid for {spec.name} (1..{spec.levels})"
-                    )
-            out[j] = v
-        return out
+        """The profile in schema order, checked by :func:`~vinerisk.data.check_rows`."""
+        for name in schema.names:
+            if name not in self.values:
+                raise ValueError(f"profile missing variable {name!r}")
+        return check_rows(schema, [[float(self.values[name]) for name in schema.names]])[0]
 
 
 @dataclass

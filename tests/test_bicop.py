@@ -30,6 +30,7 @@ from vinerisk.bicop import (
     tau_to_param,
     _FAM,
     _clip,
+    _frank_tau_abs,
     _joe_tau,
     _newton_hinv,
 )
@@ -431,6 +432,26 @@ def test_family_tau_ranges():
     lo, hi = family_tau_range("gaussian")
     assert lo < -0.99 and hi > 0.99
     assert family_tau_range("gumbel")[0] == 0.0
+
+
+def test_family_tau_ranges_equal_the_closed_forms():
+    # tau at the parameter bounds, exactly as the per-family closed forms
+    # that family_tau_range replaced
+    gauss = 2.0 / math.pi * math.asin(0.9999)
+    t = 2.0 / math.pi * math.asin(0.999)
+    frank = _frank_tau_abs(35.0)
+    want = {
+        "indep": (0.0, 0.0),
+        "gaussian": (-gauss, gauss),
+        "studentt": (-t, t),
+        "clayton": (1e-4 / (1e-4 + 2.0), 28.0 / (28.0 + 2.0)),
+        "gumbel": (0.0, 1.0 - 1.0 / 20.0),
+        "frank": (-frank, frank),
+        "joe": (0.0, _joe_tau(30.0)),
+    }
+    assert set(want) == set(_FAM)
+    for family, (lo, hi) in want.items():
+        assert family_tau_range(family) == (lo, hi), family
 
 
 # ---------------------------------------------------------------------------

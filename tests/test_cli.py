@@ -308,6 +308,53 @@ class TestScenario:
         assert code == 1
         assert err.startswith("error:MissingColumn:")
 
+    @pytest.fixture
+    def mixed_model(self, tmp_path, capsys):
+        """A model fitted on the mixed variant: x1 continuous, x2 ordinal."""
+        data = tmp_path / "mixed.csv"
+        code, _, err = _run(
+            capsys, "simulate", "--seed", "0", "--variant", "mixed",
+            "--n-train", "40", "--n-test", "0", "--out", str(data),
+        )
+        assert code == 0, err
+        model = tmp_path / "mixed-model.json"
+        code, _, err = _run(
+            capsys, "fit", "--seed", "0", "--data", str(data),
+            "--schema", str(tmp_path / "mixed.csv.schema.json"), "--out", str(model),
+        )
+        assert code == 0, err
+        return model
+
+    @pytest.mark.parametrize(
+        "profile,grid",
+        [
+            ('{"x1": NaN, "x2": 1}', "x2:levels=1,2"),
+            ('{"x1": Infinity, "x2": 1}', "x2:levels=1,2"),
+            ('{"x1": 0.0, "x2": NaN}', "x1:-1:1:5"),
+            ('{"x1": 0.0, "x2": Infinity}', "x1:-1:1:5"),
+            ('{"x1": 0.0, "x2": 1}', "x1:-inf:2:5"),
+            ('{"x1": 1%s, "x2": 1}' % ("0" * 400), "x2:levels=1,2"),
+        ],
+        ids=[
+            "nan-continuous", "inf-continuous", "nan-ordinal", "inf-ordinal", "inf-grid",
+            "int-beyond-float",
+        ],
+    )
+    def test_non_finite_input_is_one_error_line(
+        self, mixed_model, tmp_path, capsys, profile, grid
+    ):
+        path = tmp_path / "profile.json"
+        path.write_text(profile)
+        out = tmp_path / "scenario.csv"
+        code, _, err = _run(
+            capsys, "scenario", "--model", str(mixed_model), "--profile", str(path),
+            "--grid", grid, "--out", str(out),
+        )
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert not out.exists()
+
 
 class TestDiagnose:
     @pytest.fixture
