@@ -24,7 +24,8 @@ its target argument is mirrored.  Mirroring one axis negates Kendall's tau
 
 Likelihood contributions for pairs with discrete components use CDF finite
 differences: one-sided differences of the conditional CDF when one side is
-discrete and rectangle probabilities when both are.  The same copula terms
+discrete and rectangle probabilities when both are, each over the discrete
+sides' masses so that independence contributes zero.  The same copula terms
 also condition each side on the other for a vine's next tree, both in one
 step: :func:`bicop_condition`.
 """
@@ -726,7 +727,8 @@ class PairObs:
 
     For a discrete component the pair carries the CDF evaluated at the
     observed code (``*_plus``) and just below it (``*_minus``); for a
-    continuous component the two coincide.
+    continuous component the two coincide.  ``masses`` holds each discrete
+    side's code probability ``plus - minus``, floored at ``MASS_FLOOR``.
     """
 
     u_plus: np.ndarray
@@ -735,12 +737,17 @@ class PairObs:
     v_minus: Optional[np.ndarray] = None
     u_disc: bool = False
     v_disc: bool = False
+    masses: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.u_plus = _clip(self.u_plus)
         self.v_plus = _clip(self.v_plus)
         self.u_minus = self.u_plus if self.u_minus is None else _clip(self.u_minus)
         self.v_minus = self.v_plus if self.v_minus is None else _clip(self.v_minus)
+        self.masses = (
+            np.maximum(self.u_plus - self.u_minus, MASS_FLOOR) if self.u_disc else None,
+            np.maximum(self.v_plus - self.v_minus, MASS_FLOOR) if self.v_disc else None,
+        )
 
     @property
     def n(self) -> int:
@@ -753,25 +760,6 @@ class PairObs:
     def midpoints(self):
         return 0.5 * (self.u_plus + self.u_minus), 0.5 * (self.v_plus + self.v_minus)
 
-    def masses(self) -> tuple:
-        """Per side, ``plus - minus`` floored at ``MASS_FLOOR``: the probability
-        of a discrete side's observed code; None for a continuous side."""
-        return tuple(
-            np.maximum(plus - minus, MASS_FLOOR) if disc else None
-            for plus, minus, disc in (
-                (self.u_plus, self.u_minus, self.u_disc),
-                (self.v_plus, self.v_minus, self.v_disc),
-            )
-        )
-
-    def log_mass_total(self) -> float:
-        """Summed log masses of the discrete sides, one sum per side."""
-        total = 0.0
-        for mass in self.masses():
-            if mass is not None:
-                total += float(np.sum(np.log(mass)))
-        return total
-
 
 def _likelihood(cop: Bicop, obs: PairObs) -> tuple:
     """The log contributions of :func:`bicop_contributions` and the terms
@@ -780,15 +768,21 @@ def _likelihood(cop: Bicop, obs: PairObs) -> tuple:
     discrete, none for a continuous pair."""
     up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
     if obs.u_disc and obs.v_disc:
-        c = cop._cdf(up, vp), cop._cdf(up, vm), cop._cdf(um, vp), cop._cdf(um, vm)
-        return np.log(np.maximum(c[0] - c[1] - c[2] + c[3], CONTRIB_FLOOR)), c
-    if obs.u_disc:
-        h = cop._hfunc(up, vp, "1|2"), cop._hfunc(um, vp, "1|2")
+        terms = cop._cdf(up, vp), cop._cdf(up, vm), cop._cdf(um, vp), cop._cdf(um, vm)
+        prob = terms[0] - terms[1] - terms[2] + terms[3]
+    elif obs.u_disc:
+        terms = cop._hfunc(up, vp, "1|2"), cop._hfunc(um, vp, "1|2")
+        prob = terms[0] - terms[1]
     elif obs.v_disc:
-        h = cop._hfunc(up, vp, "2|1"), cop._hfunc(up, vm, "2|1")
+        terms = cop._hfunc(up, vp, "2|1"), cop._hfunc(up, vm, "2|1")
+        prob = terms[0] - terms[1]
     else:
         return np.maximum(cop._logpdf(up, vp), LOG_FLOOR), ()
-    return np.log(np.maximum(h[0] - h[1], CONTRIB_FLOOR)), h
+    contrib = np.log(np.maximum(prob, CONTRIB_FLOOR))
+    for mass in obs.masses:
+        if mass is not None:
+            contrib = contrib - np.log(mass)
+    return contrib, terms
 
 
 def bicop_contributions(cop: Bicop, obs: PairObs) -> np.ndarray:
@@ -796,31 +790,27 @@ def bicop_contributions(cop: Bicop, obs: PairObs) -> np.ndarray:
 
     Continuous x continuous pairs contribute the log density; pairs with a
     discrete side contribute log finite differences of the conditional CDF,
-    and fully discrete pairs log rectangle probabilities.  Each contribution
-    is floored at ``log(1e-300)``.
+    and fully discrete pairs log rectangle probabilities, each floored at
+    ``log(1e-300)`` and then less the log mass of each discrete side
+    (:attr:`PairObs.masses`), so independence contributes zero.
     """
     return _likelihood(cop, obs)[0]
 
 
-def _conditioned_side(plus, minus):
-    """A conditioned side with a discrete side's lower corner capped at its
-    upper one (:class:`PairObs` clips both into [EPS, 1 - EPS])."""
-    return plus, None if minus is None else np.minimum(minus, plus)
+def bicop_condition(cop: Bicop, obs: PairObs) -> tuple:
+    """One pair-copula step of a vine: ``(contributions, u_given, v_given)``.
 
-
-def bicop_condition(cop: Bicop, obs: PairObs) -> tuple[np.ndarray, PairObs]:
-    """One pair-copula step of a vine: ``(contributions, conditioned)``.
-
-    ``contributions`` are :func:`bicop_contributions` less each discrete
-    side's log mass (:meth:`PairObs.masses`), so independence contributes
-    zero.  ``conditioned`` holds ``u | v`` and ``v | u``, the next tree's
+    ``contributions`` are :func:`bicop_contributions`.  ``u_given`` and
+    ``v_given`` are ``u | v`` and ``v | u``, the next tree's
     pseudo-observations: an h-function given a continuous side, the
     difference of C across a discrete side's code over its mass
-    (Panagiotelis, Czado & Joe 2012).  Each copula term is evaluated once.
+    (Panagiotelis, Czado & Joe 2012).  Each is ``(plus, minus)`` clipped
+    into [EPS, 1 - EPS], ``minus`` capped at ``plus`` for a discrete side
+    and None for a continuous one.  Each copula term is evaluated once.
     """
     contrib, terms = _likelihood(cop, obs)
     up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
-    mass_u, mass_v = obs.masses()
+    mass_u, mass_v = obs.masses
     if obs.u_disc and obs.v_disc:
         cpp, cpm, cmp_, cmm = terms
         u_given = (cpp - cpm) / mass_v, (cmp_ - cmm) / mass_v
@@ -834,11 +824,10 @@ def bicop_condition(cop: Bicop, obs: PairObs) -> tuple[np.ndarray, PairObs]:
     else:
         u_given = cop._hfunc(up, vp, "1|2"), None
         v_given = cop._hfunc(up, vp, "2|1"), None
-    for mass in (mass_u, mass_v):
-        if mass is not None:
-            contrib = contrib - np.log(mass)
-    (u_plus, u_minus), (v_plus, v_minus) = (_conditioned_side(*s) for s in (u_given, v_given))
-    return contrib, PairObs(u_plus, v_plus, u_minus, v_minus, obs.u_disc, obs.v_disc)
+    return contrib, *(
+        (_clip(plus), None if minus is None else _clip(np.minimum(minus, plus)))
+        for plus, minus in (u_given, v_given)
+    )
 
 
 def bicop_loglik(cop: Bicop, obs: PairObs) -> float:
@@ -869,8 +858,9 @@ def bicop_fit(
     obs: PairObs,
     min_obs: int = 10,
     tau: Optional[float] = None,
-) -> Bicop:
-    """Maximum-likelihood fit of one family/rotation to paired pseudo-obs.
+) -> tuple[Bicop, float]:
+    """Maximum-likelihood fit of one family/rotation to paired pseudo-obs:
+    ``(copula, loglik)``, the :func:`bicop_loglik` the search computed there.
 
     The start is the tau-inversion point for Kendall's tau ``tau`` (the
     empirical tau of ``obs`` when not given).  A bounded Brent search then
@@ -885,7 +875,7 @@ def bicop_fit(
             f"pair-copula fit needs at least {min_obs} observations, got {obs.n}"
         )
     if family == "indep":
-        return INDEP
+        return INDEP, bicop_loglik(INDEP, obs)
     fam = _FAM[family]
     start = _start_params(family, rotation, empirical_tau(obs) if tau is None else tau)
     fixed = start[:-1]
@@ -901,5 +891,6 @@ def bicop_fit(
     res = optimize.minimize_scalar(
         lambda t: neg_ll(fixed + (t,)), bounds=fam.bounds[-1], method="bounded"
     )
-    best_p = fixed + (float(res.x),) if res.fun < start_val else start
-    return Bicop(family, rotation, best_p)
+    if res.fun < start_val:
+        return Bicop(family, rotation, fixed + (float(res.x),)), -float(res.fun)
+    return Bicop(family, rotation, start), -start_val

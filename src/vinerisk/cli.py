@@ -29,7 +29,7 @@ from .classifier import (
 from .data import Schema, load_dataset
 from .diagnostics import bootstrap_bands, latent_normal_scores, model_conditional_spearman
 from .errors import VineRiskError
-from .scenario import BMI_CATEGORIES, BaseProfile, GridSpec, risk_curve, risk_surface
+from .scenario import BaseProfile, GridSpec, risk_curve, risk_surface
 from .simulation import DgpConfig, benchmark_run, simulate_dgp, split_train_test
 from .vine import FitConfig
 
@@ -272,9 +272,7 @@ def _cmd_scenario(args) -> int:
     else:
         curve = risk_curve(model, base, grid1)
         _write_csv(args.out, ["value", "probability"], curve.rows())
-        meta["variable"] = curve.variable
-        if curve.variable.lower() == "bmi":
-            meta["categories"] = BMI_CATEGORIES
+        meta.update(curve.metadata())
     if args.meta_out:
         _write_json(args.meta_out, meta)
     return 0

@@ -26,15 +26,15 @@ BLOCK_CELLS = 1 << 21
 
 
 def _columns(x, y, z) -> list:
-    """``x``, ``y`` and ``z`` as float arrays, checked to be finite, 1-D and
-    equally long, with integer category codes in ``z``."""
+    """``x`` and ``y`` as finite float arrays and ``z`` as ordinal codes
+    (:func:`~vinerisk.data.ordinal_codes`), checked to be 1-D and equally
+    long."""
     cols = [np.asarray(v, dtype=float) for v in (x, y, z)]
     if any(c.ndim != 1 for c in cols):
         raise ValueError("x, y and z must be 1-D")
-    if not all(np.all(np.isfinite(c)) for c in cols):
-        raise ValueError("x, y and z must be finite")
-    if np.any(cols[2] != np.round(cols[2])):
-        raise ValueError("z must hold integer category codes")
+    if not all(np.all(np.isfinite(c)) for c in cols[:2]):
+        raise ValueError("x and y must be finite")
+    cols[2] = ordinal_codes(cols[2])
     if len({c.size for c in cols}) != 1:
         raise ValueError(
             f"x, y and z differ in length ({cols[0].size}, {cols[1].size}, {cols[2].size})"

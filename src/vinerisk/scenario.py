@@ -101,6 +101,10 @@ class RiskCurve:
             for v, p in zip(self.values, self.probs)
         ]
 
+    def metadata(self) -> dict:
+        bmi = {"categories": BMI_CATEGORIES} if self.variable.lower() == "bmi" else {}
+        return {"variable": self.variable, **bmi}
+
 
 @dataclass
 class RiskSurface:

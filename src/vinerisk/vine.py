@@ -1,11 +1,12 @@
 """Regular vine models on mixed continuous/ordinal margins.
 
 The joint density factorizes over a sequence of trees whose edges carry
-bivariate copulas.  One function, :func:`~vinerisk.bicop.bicop_condition`,
-takes each edge's step: its log density contributions and its conditioned
-pseudo-observations for the next tree, through h-functions, or through CDF
-differences and probability ratios wherever a side is discrete.  This
-module keeps the bookkeeping of which columns each edge joins.  Structure
+bivariate copulas.  :mod:`vinerisk.bicop` owns each edge's likelihood, net
+of any discrete side's log mass: :func:`~vinerisk.bicop.bicop_fit` returns
+the value it maximised, and :func:`~vinerisk.bicop.bicop_condition` takes an
+edge's scoring step, with its conditioned pseudo-observations for the next
+tree.  This module selects, stores and scores edges with that one number and
+keeps the bookkeeping of which columns each edge joins.  Structure
 selection follows the usual recipe: a maximum spanning tree per level on absolute
 (partial) latent correlations under the proximity condition.  Families and
 the truncation level are chosen by a Bayesian-flavoured information
@@ -275,7 +276,7 @@ class _Columns:
     the sides each edge ``(a, b; D)`` conditions for the next tree, ``a``
     given ``D | {b}`` and ``b`` given ``D | {a}``.  A column is its values
     at the observed code and just below it, the latter None when the
-    column is continuous."""
+    column is continuous, as :func:`~vinerisk.bicop.bicop_condition` gives."""
 
     def __init__(self, margins, distinct):
         self._cols = {}
@@ -289,13 +290,11 @@ class _Columns:
         (up, ulo), (vp, vlo) = (self._cols[(j, edge.conditioning)] for j in edge.conditioned)
         return PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None)
 
-    def store(self, edge: Edge, given: PairObs) -> None:
-        """Keep an edge's conditioned pair as two columns of the next tree."""
+    def store(self, edge: Edge, u_given: tuple, v_given: tuple) -> None:
+        """Keep an edge's conditioned sides as two columns of the next tree."""
         a, b = edge.conditioned
-        u_minus = given.u_minus if given.u_disc else None
-        v_minus = given.v_minus if given.v_disc else None
-        self._cols[(a, edge.conditioning | {b})] = (given.u_plus, u_minus)
-        self._cols[(b, edge.conditioning | {a})] = (given.v_plus, v_minus)
+        self._cols[(a, edge.conditioning | {b})] = u_given
+        self._cols[(b, edge.conditioning | {a})] = v_given
 
 
 def _edge_candidates(families, rotation_tau: float, any_discrete: bool):
@@ -320,14 +319,14 @@ def _edge_candidates(families, rotation_tau: float, any_discrete: bool):
 def _fit_edge(
     obs: PairObs, level: int, n: int, config: FitConfig
 ) -> tuple[Bicop, float, float]:
-    """Pick the score-minimizing family/rotation for one edge.
+    """Pick the score-minimizing family/rotation for one edge:
+    ``(copula, loglik, score)``.
 
-    Edge log likelihoods are normalized by the conditional masses of any
-    discrete side, so an independence copula always contributes zero and
-    deviances stay comparable across continuous, mixed and discrete pairs.
+    A fitted candidate's loglik is the maximum :func:`~vinerisk.bicop.bicop_fit`
+    returns, net of any discrete side's masses, so independence contributes
+    zero and deviances stay comparable across continuous, mixed and discrete pairs.
     """
-    mass_total = obs.log_mass_total()
-    indep_ll = bicop_loglik(INDEP, obs) - mass_total
+    indep_ll = bicop_loglik(INDEP, obs)
     indep_score = -2.0 * indep_ll + edge_penalty(level, 0, n, config.psi0, True)
     best = (INDEP, indep_ll, indep_score)
     tau_emp = empirical_tau(obs)
@@ -336,10 +335,9 @@ def _fit_edge(
             return best
     for fam, rot in _edge_candidates(config.families, tau_emp, obs.u_disc or obs.v_disc):
         try:
-            cop = bicop_fit(fam, rot, obs, tau=tau_emp)
+            cop, ll = bicop_fit(fam, rot, obs, tau=tau_emp)
         except (ValueError, FloatingPointError):
             continue
-        ll = bicop_loglik(cop, obs) - mass_total
         score = -2.0 * ll + edge_penalty(level, cop.npar, n, config.psi0, False)
         if score < best[2] - 1e-12:
             best = (cop, ll, score)
@@ -423,7 +421,7 @@ def fit_vine(
             break
         if level < len(structure.trees):
             for fe, obs in zip(fitted, pairs):
-                cols.store(fe.edge, bicop_condition(fe.bicop, obs)[1])
+                cols.store(fe.edge, *bicop_condition(fe.bicop, obs)[1:])
     trees = trees[:truncation]
     return VineModel(
         margins=margins,
@@ -447,9 +445,9 @@ def vine_logdensity(model: VineModel, x: np.ndarray) -> np.ndarray:
         logf += np.log(np.maximum(dens, 1e-300))[inverse]
     cols = _Columns(model.margins, distinct)
     for fe in model.all_edges():
-        contrib, conditioned = bicop_condition(fe.bicop, cols.of(fe.edge))
+        contrib, u_given, v_given = bicop_condition(fe.bicop, cols.of(fe.edge))
         logf += contrib
-        cols.store(fe.edge, conditioned)
+        cols.store(fe.edge, u_given, v_given)
     return logf
 
 

@@ -323,20 +323,21 @@ def test_contributions_discrete_cases():
     up, um = np.array([0.7]), np.array([0.4])
     vp, vm = np.array([0.8]), np.array([0.55])
 
-    # discrete u, continuous v: difference of conditional CDFs
+    # discrete u, continuous v: difference of conditional CDFs over u's mass
     obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, u_disc=True)
-    expected = np.log(cop.hfunc(up, vp, "1|2") - cop.hfunc(um, vp, "1|2"))
+    expected = np.log(cop.hfunc(up, vp, "1|2") - cop.hfunc(um, vp, "1|2")) - np.log(up - um)
     assert_allclose(bicop_contributions(cop, obs), expected, rtol=1e-10)
 
     # continuous u, discrete v
     obs = PairObs(u_plus=up, v_plus=vp, v_minus=vm, v_disc=True)
-    expected = np.log(cop.hfunc(up, vp, "2|1") - cop.hfunc(up, vm, "2|1"))
+    expected = np.log(cop.hfunc(up, vp, "2|1") - cop.hfunc(up, vm, "2|1")) - np.log(vp - vm)
     assert_allclose(bicop_contributions(cop, obs), expected, rtol=1e-10)
 
-    # both discrete: rectangle probability
+    # both discrete: rectangle probability over both masses
     obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm, u_disc=True, v_disc=True)
     rect = cop.cdf(up, vp) - cop.cdf(um, vp) - cop.cdf(up, vm) + cop.cdf(um, vm)
-    assert_allclose(bicop_contributions(cop, obs), np.log(rect), rtol=1e-10)
+    expected = np.log(rect) - np.log(up - um) - np.log(vp - vm)
+    assert_allclose(bicop_contributions(cop, obs), expected, rtol=1e-10)
 
 
 def test_rectangle_probability_matches_monte_carlo():
@@ -352,7 +353,8 @@ def test_rectangle_probability_matches_monte_carlo():
         u_disc=True,
         v_disc=True,
     )
-    assert_allclose(np.exp(bicop_contributions(cop, obs))[0], mc, atol=0.01)
+    rect = np.exp(bicop_contributions(cop, obs))[0] * (up - um) * (vp - vm)
+    assert_allclose(rect, mc, atol=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,7 @@ def test_fit_recovers_tau(family):
     true = make(family, 0, 0.5)
     s = true.sample(2000, np.random.default_rng(13))
     obs = PairObs(u_plus=s[:, 0], v_plus=s[:, 1])
-    fit = bicop_fit(family, 0, obs)
+    fit, _ = bicop_fit(family, 0, obs)
     assert abs(fit.tau - 0.5) < 0.05
     assert bicop_loglik(fit, obs) >= bicop_loglik(true, obs) - 1e-6
 
@@ -374,7 +376,7 @@ def test_fit_studentt_recovers_rho():
     true = Bicop("studentt", 0, (0.6, 5.0))
     s = true.sample(3000, np.random.default_rng(21))
     obs = PairObs(u_plus=s[:, 0], v_plus=s[:, 1])
-    fit = bicop_fit("studentt", 0, obs)
+    fit, _ = bicop_fit("studentt", 0, obs)
     assert abs(fit.params[0] - 0.6) < 0.06
     assert 2.05 <= fit.params[1] <= 30.0
 
@@ -385,6 +387,51 @@ def test_fit_with_given_tau_is_bitwise_equal(family):
     obs = PairObs(u_plus=s[:, 0], v_plus=s[:, 1])
     given = bicop_fit(family, 0, obs, tau=empirical_tau(obs))
     assert given == bicop_fit(family, 0, obs)
+
+
+def _discretized_obs(family, rotation, u_disc, v_disc, n=300, levels=4, seed=17):
+    """A sample of the combination with each discrete side cut into
+    ``levels`` equal-mass codes."""
+    tau = -0.4 if rotation in (90, 270) else 0.4
+    s = make(family, rotation, tau).sample(n, np.random.default_rng(seed))
+    sides = []
+    for x, disc in ((s[:, 0], u_disc), (s[:, 1], v_disc)):
+        if disc:
+            code = np.ceil(x * levels)
+            sides.append((code / levels, (code - 1.0) / levels))
+        else:
+            sides.append((x, None))
+    (up, um), (vp, vm) = sides
+    return PairObs(up, vp, um, vm, u_disc=u_disc, v_disc=v_disc)
+
+
+_DISCRETENESS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize(
+    "family,rotation,u_disc,v_disc",
+    [
+        (family, rotation, u_disc, v_disc)
+        for family, rotation in ALL_COMBOS
+        for u_disc, v_disc in _DISCRETENESS
+        if family != "studentt" or not (u_disc or v_disc)
+    ],
+)
+def test_fit_returns_the_loglik_of_its_copula(family, rotation, u_disc, v_disc):
+    obs = _discretized_obs(family, rotation, u_disc, v_disc)
+    cop, ll = bicop_fit(family, rotation, obs)
+    assert ll == bicop_loglik(cop, obs)
+
+
+@pytest.mark.parametrize("u_disc,v_disc", _DISCRETENESS)
+def test_independence_contributes_zero(u_disc, v_disc):
+    obs = _discretized_obs("gaussian", 0, u_disc, v_disc)
+    contrib = bicop_contributions(INDEP, obs)
+    if u_disc and v_disc:  # the rectangle of u * v rounds apart from the masses
+        assert_allclose(contrib, 0.0, rtol=0.0, atol=1e-12)
+    else:
+        assert_array_equal(contrib, 0.0)
+    assert bicop_fit("indep", 0, obs) == (INDEP, bicop_loglik(INDEP, obs))
 
 
 def test_fit_needs_enough_rows():
@@ -763,18 +810,23 @@ def test_contributions_equal_clipped_public_methods(family, rotation):
     up = np.concatenate([rng.uniform(0.2, 1.0, 30), [1.0, 1.5]])
     um = np.concatenate([up[:30] - rng.uniform(0.0, 0.2, 30), [-0.5, 0.0]])
     vp, vm = up[::-1].copy(), um[::-1].copy()
+    log_mass_u = np.log(np.maximum(_clip(up) - _clip(um), MASS_FLOOR))
+    log_mass_v = np.log(np.maximum(_clip(vp) - _clip(vm), MASS_FLOOR))
     obs = PairObs(u_plus=up, v_plus=vp)
     assert_array_equal(bicop_contributions(cop, obs), np.maximum(cop.logpdf(up, vp), LOG_FLOOR))
     obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, u_disc=True)
     diff = cop.hfunc(up, vp, "1|2") - cop.hfunc(um, vp, "1|2")
-    assert_array_equal(bicop_contributions(cop, obs), np.log(np.maximum(diff, CONTRIB_FLOOR)))
+    want = np.log(np.maximum(diff, CONTRIB_FLOOR)) - log_mass_u
+    assert_array_equal(bicop_contributions(cop, obs), want)
     obs = PairObs(u_plus=up, v_plus=vp, v_minus=vm, v_disc=True)
     diff = cop.hfunc(up, vp, "2|1") - cop.hfunc(up, vm, "2|1")
-    assert_array_equal(bicop_contributions(cop, obs), np.log(np.maximum(diff, CONTRIB_FLOOR)))
+    want = np.log(np.maximum(diff, CONTRIB_FLOOR)) - log_mass_v
+    assert_array_equal(bicop_contributions(cop, obs), want)
     if family != "studentt":  # the t CDF is a quadrature per point
         obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm, u_disc=True, v_disc=True)
         rect = cop.cdf(up, vp) - cop.cdf(up, vm) - cop.cdf(um, vp) + cop.cdf(um, vm)
-        assert_array_equal(bicop_contributions(cop, obs), np.log(np.maximum(rect, CONTRIB_FLOOR)))
+        want = np.log(np.maximum(rect, CONTRIB_FLOOR)) - log_mass_u - log_mass_v
+        assert_array_equal(bicop_contributions(cop, obs), want)
 
 
 # ---------------------------------------------------------------------------
@@ -896,24 +948,15 @@ def test_condition_matches_former_vine_route(family, rotation, u_disc, v_disc, t
     ca = _Col(up=up, lo=ulo if u_disc else up, disc=u_disc)
     cb = _Col(up=vp, lo=vlo if v_disc else vp, disc=v_disc)
     (want, want_a, want_b), obs = _step_reference(cop, ca, cb)
-    contrib, given = bicop_condition(cop, obs)
-    assert_array_equal(bicop_contributions(cop, obs), _contributions_reference(cop, obs))
+    contrib, u_given, v_given = bicop_condition(cop, obs)
+    assert_array_equal(bicop_contributions(cop, obs), want)
     assert_array_equal(contrib, want)
-    assert (given.u_disc, given.v_disc) == (u_disc, v_disc)
-    assert_array_equal(given.u_plus, want_a.up)
-    assert_array_equal(given.u_minus, want_a.lo)
-    assert_array_equal(given.v_plus, want_b.up)
-    assert_array_equal(given.v_minus, want_b.lo)
-
-
-def test_mass_total_keeps_one_sum_per_side():
-    (up, ulo), (vp, vlo) = _oracle_columns()
-    obs = PairObs(u_plus=up, v_plus=vp, u_minus=ulo, v_minus=vlo, u_disc=True, v_disc=True)
-    want = 0.0
-    want += float(np.sum(np.log(np.maximum(up - ulo, MASS_FLOOR))))
-    want += float(np.sum(np.log(np.maximum(vp - vlo, MASS_FLOOR))))
-    assert obs.log_mass_total() == want
-    assert PairObs.continuous(up, vp).log_mass_total() == 0.0
+    for (plus, minus), ref in ((u_given, want_a), (v_given, want_b)):
+        assert_array_equal(plus, ref.up)
+        if ref.disc:
+            assert_array_equal(minus, ref.lo)
+        else:
+            assert minus is None
 
 
 @pytest.mark.parametrize(

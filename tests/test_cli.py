@@ -7,7 +7,7 @@ import pytest
 from vinerisk.cli import _parse_grid, _parse_seeds, main
 from vinerisk.classifier import RISK_GROUPS
 from vinerisk.data import Dataset, Schema, VariableSpec
-from vinerisk.scenario import GridSpec
+from vinerisk.scenario import BMI_CATEGORIES, GridSpec
 
 
 def _run(capsys, *argv):
@@ -271,6 +271,36 @@ class TestScenario:
         meta_obj = json.loads(meta.read_text())
         assert meta_obj["variable"] == "x1"
         assert meta_obj["adverse_class"] == 1
+
+    def test_curve_on_bmi_names_its_categories(self, workspace, capsys):
+        work = workspace["dir"]
+        data, schema = work / "bmi.csv", work / "bmi.csv.schema.json"
+        data.write_text(workspace["data"].read_text().replace("x1", "bmi"))
+        schema.write_text(workspace["schema"].read_text().replace('"x1"', '"bmi"'))
+        model = work / "bmi-model.json"
+        code, _, err = _run(
+            capsys, "fit", "--seed", "0",
+            "--data", str(data), "--schema", str(schema), "--out", str(model),
+        )
+        assert code == 0, err
+        profile = work / "bmi-profile.json"
+        profile.write_text(json.dumps({"bmi": 0.0, "x2": 0.0}))
+        meta = work / "bmi.meta.json"
+        code, _, err = _run(
+            capsys, "scenario",
+            "--model", str(model),
+            "--profile", str(profile),
+            "--grid", "bmi:-2:2:5",
+            "--out", str(work / "bmi-curve.csv"),
+            "--meta-out", str(meta),
+        )
+        assert code == 0, err
+        assert json.loads(meta.read_text()) == {
+            "profile": {"bmi": 0.0, "x2": 0.0},
+            "adverse_class": 1,
+            "variable": "bmi",
+            "categories": BMI_CATEGORIES,
+        }
 
     def test_surface_output(self, workspace, capsys):
         profile = workspace["dir"] / "profile.json"

@@ -13,6 +13,7 @@ from vinerisk.diagnostics import (
     latent_normal_scores,
     model_conditional_spearman,
 )
+from vinerisk.errors import OrdinalOutOfRange
 from vinerisk.latent import normal_scores, ordinal_thresholds, polyserial_rho
 from vinerisk.margins import KernelMargin
 from vinerisk.vine import Edge, FittedEdge, VineModel, VineStructure
@@ -225,7 +226,15 @@ class TestBootstrapBands:
     def test_rejects_non_integer_categories(self, fn):
         x, y, z = _cond_pair(50, 0.2, seed=0)
         z[z == 2.0] = 1.5
-        with pytest.raises(ValueError, match="integer category"):
+        with pytest.raises(OrdinalOutOfRange):
+            fn(x, y, z)
+
+    @pytest.mark.parametrize("fn", [conditional_spearman, bootstrap_bands])
+    @pytest.mark.parametrize("bad", [0.0, -3.0, 1.5, np.nan])
+    def test_categories_follow_the_ordinal_rule(self, fn, bad):
+        x, y, z = _cond_pair(50, 0.2, seed=0)
+        z[z == 2.0] = bad
+        with pytest.raises(OrdinalOutOfRange):
             fn(x, y, z)
 
 

@@ -235,6 +235,14 @@ class TestRiskSurface:
         assert "var2_categories" not in meta
         assert set(BMI_CATEGORIES) == {"underweight", "normal", "overweight", "obese"}
 
+    def test_curve_metadata_names_its_axis(self):
+        model = _shift_model([1.0, 0.7], names=("bmi", "x2"))
+        base = BaseProfile({"bmi": 0.0, "x2": 0.0})
+        bmi = risk_curve(model, base, GridSpec.linspace("bmi", -1, 1, 5))
+        assert bmi.metadata() == {"variable": "bmi", "categories": BMI_CATEGORIES}
+        x2 = risk_curve(model, base, GridSpec.linspace("x2", -1, 1, 5))
+        assert x2.metadata() == {"variable": "x2"}
+
     def test_rows_enumerate_grid(self):
         model = _shift_model([1.0, 0.0])
         surf = risk_surface(
