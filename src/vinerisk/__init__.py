@@ -12,7 +12,6 @@ from .bicop import (
     bicop_fit,
     bicop_loglik,
     empirical_tau,
-    param_to_tau,
     tau_to_param,
 )
 from .classifier import (
@@ -99,7 +98,6 @@ __all__ = [
     "latent_normal_scores",
     "load_dataset",
     "model_conditional_spearman",
-    "param_to_tau",
     "partial_correlation",
     "per_class_brier",
     "per_class_nll",

@@ -712,10 +712,6 @@ def tau_to_param(family: str, tau: float, rotation: int = 0) -> tuple:
     return _FAM[family].par_from_tau(base_tau)
 
 
-def param_to_tau(b: Bicop) -> float:
-    return b.tau
-
-
 # ---------------------------------------------------------------------------
 # pseudo-observations and likelihood
 # ---------------------------------------------------------------------------
@@ -852,18 +848,34 @@ def _start_params(family: str, rotation: int, tau_emp: float):
     return _FAM[family].par_from_tau(base_tau)
 
 
+def bicop_start(
+    family: str, rotation: int, obs: PairObs, tau: Optional[float] = None
+) -> tuple[Bicop, float]:
+    """The tau-inversion start of :func:`bicop_fit` and its :func:`bicop_loglik`:
+    ``(copula, loglik)``, for Kendall's tau ``tau`` (the empirical tau of
+    ``obs`` when not given).  This is the ``itau`` estimate of Czado 2019,
+    section 7, for the one-parameter families.
+    """
+    cop = Bicop(
+        family, rotation, _start_params(family, rotation, empirical_tau(obs) if tau is None else tau)
+    )
+    return cop, bicop_loglik(cop, obs)
+
+
 def bicop_fit(
     family: str,
     rotation: int,
     obs: PairObs,
     min_obs: int = 10,
     tau: Optional[float] = None,
+    start: Optional[tuple[Bicop, float]] = None,
 ) -> tuple[Bicop, float]:
     """Maximum-likelihood fit of one family/rotation to paired pseudo-obs:
     ``(copula, loglik)``, the :func:`bicop_loglik` the search computed there.
 
-    The start is the tau-inversion point for Kendall's tau ``tau`` (the
-    empirical tau of ``obs`` when not given).  A bounded Brent search then
+    The search starts from ``start``, the :func:`bicop_start` of this
+    family, rotation and ``obs`` when the caller already has it, and
+    otherwise computes that start for ``tau``.  A bounded Brent search then
     fits the last parameter with the others held at the start: the one
     parameter of the one-parameter families, and for the Student-t the
     degrees of freedom at the tau-inverted rho (a profile likelihood, as in
@@ -876,21 +888,17 @@ def bicop_fit(
         )
     if family == "indep":
         return INDEP, bicop_loglik(INDEP, obs)
-    fam = _FAM[family]
-    start = _start_params(family, rotation, empirical_tau(obs) if tau is None else tau)
-    fixed = start[:-1]
+    start_cop, start_ll = bicop_start(family, rotation, obs, tau) if start is None else start
+    fixed = start_cop.params[:-1]
 
-    def neg_ll(params):
+    def neg_ll(t):
         try:
-            cop = Bicop(family, rotation, tuple(np.atleast_1d(params)))
+            cop = Bicop(family, rotation, fixed + (t,))
         except ValueError:
             return np.inf
         return -bicop_loglik(cop, obs)
 
-    start_val = neg_ll(start)
-    res = optimize.minimize_scalar(
-        lambda t: neg_ll(fixed + (t,)), bounds=fam.bounds[-1], method="bounded"
-    )
-    if res.fun < start_val:
+    res = optimize.minimize_scalar(neg_ll, bounds=_FAM[family].bounds[-1], method="bounded")
+    if res.fun < -start_ll:
         return Bicop(family, rotation, fixed + (float(res.x),)), -float(res.fun)
-    return Bicop(family, rotation, start), -start_val
+    return start_cop, start_ll

@@ -105,6 +105,18 @@ def _midranks(values, counts) -> np.ndarray:
     return ((below + upto + 1.0) / 2.0)[:, group]
 
 
+def _resample_counts(rng, n: int, k: int) -> np.ndarray:
+    """How often each of ``n`` rows is drawn in each of ``k`` resamples with
+    replacement, shape ``(k, n)``.
+
+    One ``rng.integers(0, n, size=(k, n))`` call and one offset ``bincount``;
+    numpy fills the draw row by row, so the stream and the generator's final
+    state are those of ``k`` calls of ``size=n``.
+    """
+    idx = rng.integers(0, n, size=(k, n)) + n * np.arange(k)[:, None]
+    return np.bincount(idx.ravel(), minlength=k * n).reshape(k, n)
+
+
 def _resample_spearman(x, y, counts) -> np.ndarray:
     """Spearman's rho of ``(x, y)`` in each usable resample given by ``counts``.
 
@@ -138,13 +150,14 @@ def bootstrap_bands(
 
     Rows are resampled with replacement; replicates where a category falls
     under the minimum size or has a constant column are skipped for that
-    category.  Each replicate is one ``rng.integers(0, n, size=n)`` draw, the
+    category.  Each replicate is ``n`` draws of ``rng.integers(0, n)``, the
     same seed stream as resampling rows one replicate at a time, but it is
-    kept as per-row counts: rho within a category is the count-weighted
-    Pearson correlation of midranks taken from cumulative counts over the
-    category's sorted distinct values (the multinomial-weights form of the
-    nonparametric bootstrap, Efron & Tibshirani 1993, ch. 6).  All
-    replicates of a block are computed in one vectorised pass.
+    kept as per-row counts (:func:`_resample_counts`): rho within a category
+    is the count-weighted Pearson correlation of midranks taken from
+    cumulative counts over the category's sorted distinct values (the
+    multinomial-weights form of the nonparametric bootstrap, Efron &
+    Tibshirani 1993, ch. 6).  All replicates of a block are drawn and
+    computed in one vectorised pass.
     """
     if replicates < 100:
         raise ValueError("need at least 100 bootstrap replicates")
@@ -159,12 +172,7 @@ def bootstrap_bands(
     draws: dict = {cat: [] for cat in cats}
     block = max(1, BLOCK_CELLS // max(n, 1))
     for start in range(0, replicates, block):
-        counts = np.stack(
-            [
-                np.bincount(rng.integers(0, n, size=n), minlength=n)
-                for _ in range(min(block, replicates - start))
-            ]
-        )
+        counts = _resample_counts(rng, n, min(block, replicates - start))
         for cat in cats:
             r = rows[cat]
             draws[cat].append(_resample_spearman(x[r], y[r], counts[:, r]))

@@ -102,6 +102,11 @@ def _sparse_tied():
     return x, y, z
 
 
+def _per_replicate_counts(rng, n, k):
+    """Reference for ``_resample_counts``: one draw and one bincount per replicate."""
+    return np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(k)])
+
+
 class TestBootstrapEquivalence:
     @pytest.mark.parametrize(
         "data",
@@ -121,6 +126,24 @@ class TestBootstrapEquivalence:
         for cat in cats:
             assert abs(res.lower[cat] - lower[cat]) <= 1e-12
             assert abs(res.upper[cat] - upper[cat]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 81, 699, 700])
+    def test_one_draw_per_block_keeps_the_per_replicate_stream(self, n):
+        # numpy does not promise that a (k, n) draw fills in the order of k
+        # draws of size n; the bands' seed stream relies on it
+        block, loop = np.random.default_rng(n), np.random.default_rng(n)
+        counts = diagnostics._resample_counts(block, n, 37)
+        assert_array_equal(counts, _per_replicate_counts(loop, n, 37))
+        assert block.bit_generator.state == loop.bit_generator.state
+
+    @pytest.mark.parametrize("n", [5, 81, 699, 700])
+    def test_bands_equal_the_per_replicate_draws(self, n, monkeypatch):
+        x, y, _ = _cond_pair(n, 0.5, seed=n)
+        z = 1.0 + np.arange(n) % 2
+        monkeypatch.setattr(diagnostics, "BLOCK_CELLS", 7 * n)
+        block = bootstrap_bands(x, y, z, replicates=150, seed=4)
+        monkeypatch.setattr(diagnostics, "_resample_counts", _per_replicate_counts)
+        assert block == bootstrap_bands(x, y, z, replicates=150, seed=4)
 
     def test_blocks_of_replicates_give_the_same_band(self, monkeypatch):
         x, y, z = _rounded()

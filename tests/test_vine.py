@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import json
 import math
 
@@ -9,7 +11,16 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from vinerisk import bicop as bicop_module
 from vinerisk import vine as vine_module
-from vinerisk.bicop import ROTATABLE, Bicop, PairObs, empirical_tau, tau_to_param
+from vinerisk.bicop import (
+    INDEP,
+    ROTATABLE,
+    Bicop,
+    PairObs,
+    bicop_fit,
+    bicop_loglik,
+    empirical_tau,
+    tau_to_param,
+)
 from vinerisk.errors import TooFewObservations
 from vinerisk.classifier import ClassifierModel, posterior
 from vinerisk.data import Schema, VariableSpec
@@ -20,19 +31,18 @@ from vinerisk.vine import (
     FittedEdge,
     VineModel,
     VineStructure,
+    _edge_candidates,
     _fit_edge,
     _gauss_legendre,
     _quadrature_spearman,
     edge_penalty,
     edge_report,
     fit_vine,
-    independence_vine,
     model_spearman,
     select_structure,
     tau_independence_pvalue,
     vine_copula_loglik,
     vine_logdensity,
-    vine_loglik,
     vine_mbic,
     vine_num_params,
 )
@@ -225,10 +235,11 @@ class TestLogDensity:
     def test_loglik_is_row_sum(self):
         model = _manual_model(2)
         x = np.random.default_rng(4).standard_normal((20, 3))
-        assert_allclose(vine_loglik(model, x), vine_logdensity(model, x).sum(), rtol=1e-15)
+        rowwise = sum(vine_logdensity(model, x[i : i + 1])[0] for i in range(len(x)))
+        assert_allclose(rowwise, vine_logdensity(model, x).sum(), rtol=1e-13)
 
     def test_independence_vine_is_margin_product(self):
-        model = independence_vine(_manual_model(2))
+        model = dataclasses.replace(_manual_model(2), trees=[], truncation=0)
         assert model.truncation == 0 and model.trees == []
         x = np.random.default_rng(5).standard_normal((20, 3))
         assert_allclose(vine_logdensity(model, x), stats.norm.logpdf(x).sum(axis=1), rtol=1e-12)
@@ -374,6 +385,127 @@ class TestFitVine:
             fit_vine(x, margins, _chain_structure(3), FitConfig())
 
 
+def _full_search(obs, level, n, config):
+    """Reference for ``_fit_edge``: the bounded MLE for every admissible candidate."""
+    indep_ll = bicop_loglik(INDEP, obs)
+    best = (INDEP, indep_ll, -2.0 * indep_ll + edge_penalty(level, 0, n, config.psi0, True))
+    tau = empirical_tau(obs)
+    if tau_independence_pvalue(tau, obs.n) >= config.indep_test_level:
+        return best
+    for fam, rot in _edge_candidates(config.families, tau, obs.u_disc or obs.v_disc):
+        try:
+            cop, ll = bicop_fit(fam, rot, obs, tau=tau)
+        except (ValueError, FloatingPointError):
+            continue
+        score = -2.0 * ll + edge_penalty(level, cop.npar, n, config.psi0, False)
+        if score < best[2] - 1e-12:
+            best = (cop, ll, score)
+    return best
+
+
+def _simulated_pair(cop, n, discrete, seed, levels=5):
+    """``n`` draws of ``cop`` with the sides named in ``discrete`` cut into
+    ``levels`` equal-mass codes."""
+    s = cop.sample(n, np.random.default_rng(seed))
+    sides = []
+    for j, side in enumerate("uv"):
+        if side in discrete:
+            code = np.ceil(s[:, j] * levels)
+            sides.append((code / levels, (code - 1.0) / levels))
+        else:
+            sides.append((s[:, j], None))
+    (up, um), (vp, vm) = sides
+    return PairObs(up, vp, um, vm, u_disc="u" in discrete, v_disc="v" in discrete)
+
+
+_SCREEN_CASES = [(f, 0, sign) for f in ("gaussian", "studentt", "frank") for sign in (1, -1)] + [
+    (f, r, -1 if r in (90, 270) else 1) for f in ROTATABLE for r in (0, 90, 180, 270)
+]
+
+
+class TestCandidateScreen:
+    @pytest.mark.parametrize("family,rotation,sign", _SCREEN_CASES)
+    def test_screen_matches_the_full_search(self, family, rotation, sign):
+        config = FitConfig()
+        for i, tau in enumerate((0.1, 0.3, 0.6)):
+            params = tau_to_param(family, sign * tau, rotation)
+            if family == "studentt":
+                params = (params[0], 4.0)
+            cop = Bicop(family, rotation, params)
+            for discrete in ("", "u", "v", "uv"):
+                obs = _simulated_pair(cop, 300, discrete, seed=(i, len(discrete)))
+                assert _fit_edge(obs, 1, 300, config) == _full_search(obs, 1, 300, config)
+
+    def test_few_candidates_get_the_full_search(self):
+        config = FitConfig(families=("indep", "gaussian", "frank"))
+        cop = Bicop("frank", 0, tau_to_param("frank", 0.4))
+        for discrete in ("", "v", "uv"):
+            obs = _simulated_pair(cop, 300, discrete, seed=3)
+            assert _fit_edge(obs, 1, 300, config) == _full_search(obs, 1, 300, config)
+
+    def test_a_candidate_whose_start_raises_is_skipped(self, monkeypatch):
+        cop = Bicop("gumbel", 0, tau_to_param("gumbel", 0.5))
+        obs = _simulated_pair(cop, 300, "", seed=5)
+        fitted = []
+        start, fit = vine_module.bicop_start, vine_module.bicop_fit
+
+        def failing_start(family, rotation, obs, tau):
+            if family == "gumbel":
+                raise ValueError("no start")
+            return start(family, rotation, obs, tau)
+
+        def counting_fit(family, rotation, obs, **kwargs):
+            fitted.append(family)
+            return fit(family, rotation, obs, **kwargs)
+
+        monkeypatch.setattr(vine_module, "bicop_start", failing_start)
+        monkeypatch.setattr(vine_module, "bicop_fit", counting_fit)
+        got = _fit_edge(obs, 1, 300, FitConfig())
+        # 7 candidates remain without the two Gumbel rotations; 4 are fitted
+        assert len(fitted) == vine_module.SCREEN_KEEP and "gumbel" not in fitted
+        families = tuple(f for f in FitConfig().families if f != "gumbel")
+        assert got == _full_search(obs, 1, 300, FitConfig(families=families))
+
+    def test_fits_at_most_four_and_evaluates_each_start_once(self, monkeypatch):
+        edges = []
+        fit_edge, start = vine_module._fit_edge, vine_module.bicop_start
+        fit, loglik = vine_module.bicop_fit, bicop_module.bicop_loglik
+
+        def counting_fit_edge(*args):
+            edges.append({"starts": [], "fits": 0, "evals": collections.Counter()})
+            return fit_edge(*args)
+
+        def counting_start(*args):
+            cop, ll = start(*args)
+            edges[-1]["starts"].append(cop)
+            return cop, ll
+
+        def counting_fit(*args, **kwargs):
+            edges[-1]["fits"] += 1
+            return fit(*args, **kwargs)
+
+        def counting_loglik(cop, obs):
+            edges[-1]["evals"][cop] += 1
+            return loglik(cop, obs)
+
+        monkeypatch.setattr(vine_module, "_fit_edge", counting_fit_edge)
+        monkeypatch.setattr(vine_module, "bicop_start", counting_start)
+        monkeypatch.setattr(vine_module, "bicop_fit", counting_fit)
+        monkeypatch.setattr(bicop_module, "bicop_loglik", counting_loglik)
+        rng = np.random.default_rng(3)
+        idx = np.arange(3)
+        z = rng.multivariate_normal(np.zeros(3), 0.6 ** np.abs(idx[:, None] - idx), size=300)
+        codes = (np.digitize(z[:, 2], [-0.5, 0.5]) + 1).astype(float)
+        x = np.column_stack([z[:, :2], codes])
+        margins = [KernelMargin.fit(z[:, 0]), KernelMargin.fit(z[:, 1]), OrdinalMargin.fit(codes, 3)]
+        fit_vine(x, margins, _chain_structure(3), FitConfig())
+        screened = [e for e in edges if len(e["starts"]) > vine_module.SCREEN_KEEP]
+        assert len(screened) >= 2
+        for e in edges:
+            assert e["fits"] == min(len(e["starts"]), vine_module.SCREEN_KEEP)
+            assert all(e["evals"][cop] == 1 for cop in e["starts"])
+
+
 class TestCriterionValue:
     def test_manual_model_value(self):
         model = _manual_model(1)
@@ -385,7 +517,7 @@ class TestCriterionValue:
         assert_allclose(vine_mbic(model), expected, rtol=1e-14)
 
     def test_all_independence_value(self):
-        model = independence_vine(_manual_model(2))
+        model = dataclasses.replace(_manual_model(2), trees=[], truncation=0)
         prior = 2 * math.log(1 - 0.9) + math.log(1 - 0.81)
         assert_allclose(vine_mbic(model), -2.0 * prior, rtol=1e-14)
 
