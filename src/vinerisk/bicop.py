@@ -8,6 +8,11 @@ families with asymmetric tail behaviour (``clayton``, ``gumbel``, ``joe``)
 support rotations 0/90/180/270; ``frank`` and the elliptical families cover
 negative dependence natively and are never rotated.
 
+Every family's CDF is vectorised.  The Student t's is a normal scale
+mixture (Demarta & McNeil 2005): C(u, v) = E[Phi2(x S, y S; rho)] at the t
+quantiles x, y of u, v, with nu S^2 ~ chi2_nu, averaged by a fixed
+trapezoid rule (:func:`_t_mixture_rule`) over the Gaussian's ``bvn_cdf``.
+
 Rotations are reflections of the unit square (Czado 2019, section 3.8),
 kept in one table, ``REFLECTIONS``: rotation -> (mirror u, mirror v).  With
 base copula ``C``::
@@ -217,9 +222,33 @@ class _Gaussian:
         return (math.sin(math.pi * tau / 2.0),)
 
 
+def _t_mixture_rule(nu):
+    """Scales ``s`` and weights of a trapezoid rule for E[f(S)], nu S^2 ~ chi2_nu.
+
+    The rule is taken in r = log S, whose density, proportional to
+    exp(nu r - nu e^{2r} / 2), is smooth and decays fast on both sides: step
+    0.2 / sqrt(nu) over [-40/nu - 1/2, log1p(90/nu)/2 + 1/4], 76 to 159 nodes
+    for nu in [2.05, 30].
+    """
+    step = 0.2 / math.sqrt(nu)
+    r = np.arange(-40.0 / nu - 0.5, 0.5 * math.log1p(90.0 / nu) + 0.25, step)
+    log_w = nu * r - 0.5 * nu * np.exp(2.0 * r)
+    w = np.exp(log_w - log_w.max())
+    return np.exp(r), w / w.sum()
+
+
+def _t_quantile(nu, u):
+    """``stdtrit`` refined by one Newton step: scipy's closed forms at nu = 4
+    and 6 lose up to 1.4e-8 of ``u`` near 1/2."""
+    x = stdtrit(nu, u)
+    return x - (stdtr(nu, x) - u) / stats.t.pdf(x, nu)
+
+
 class _StudentT(_Gaussian):
     """Shares the Gaussian's tau map: Kendall's tau of the t depends on rho
-    alone."""
+    alone.  The CDF is the scale mixture of the module docstring, summed one
+    node at a time so its temporaries grow with the points, not points x
+    nodes."""
 
     name = "studentt"
     npar = 2
@@ -244,21 +273,10 @@ class _StudentT(_Gaussian):
     @staticmethod
     def cdf(u, v, p):
         rho, nu = p
-        ub, vb = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        out = np.empty(ub.shape)
-        scale = math.sqrt(1.0 - rho * rho)
-        for i in np.ndindex(out.shape):
-            xu = float(stdtrit(nu, ub[i]))
-            yv = float(stdtrit(nu, vb[i]))
-
-            def integrand(t):
-                cond = (yv - rho * t) / (scale * math.sqrt((nu + t * t) / (nu + 1.0)))
-                return stats.t.pdf(t, nu) * stdtr(nu + 1.0, cond)
-
-            val, _ = integrate.quad(
-                integrand, -np.inf, xu, epsabs=1e-12, epsrel=1e-10, limit=200
-            )
-            out[i] = val
+        x, y = _t_quantile(nu, u), _t_quantile(nu, v)
+        out = np.zeros(np.broadcast(x, y).shape)
+        for s, w in zip(*_t_mixture_rule(nu)):
+            out += w * bvn_cdf(x * s, y * s, rho)
         return out[()]
 
     @staticmethod
@@ -748,10 +766,6 @@ class PairObs:
     @property
     def n(self) -> int:
         return self.u_plus.shape[0]
-
-    @classmethod
-    def continuous(cls, u, v) -> "PairObs":
-        return cls(u_plus=np.asarray(u, float), v_plus=np.asarray(v, float))
 
     def midpoints(self):
         return 0.5 * (self.u_plus + self.u_minus), 0.5 * (self.v_plus + self.v_minus)

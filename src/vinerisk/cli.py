@@ -147,7 +147,6 @@ def _fit_config(args) -> FitConfig:
         indep_test_level=lambda level: None if float(level) <= 0.0 else float(level),
         margin_method=str,
         prior_mode=str,
-        seed=int,
     )
     if "prior_mode" in kw:
         kw["priors"] = kw.pop("prior_mode")

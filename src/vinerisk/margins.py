@@ -13,9 +13,7 @@ arguments stay strictly inside the unit interval.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from .data import VariableSpec, ordinal_codes
 from .errors import DegenerateMargin, TooFewObservations
@@ -76,21 +74,6 @@ class KernelMargin:
     def cdf_left(self, x):
         return self.cdf(x)
 
-    def quantile(self, u):
-        scalar = np.ndim(u) == 0
-        uu = _clamp(np.atleast_1d(np.asarray(u, dtype=float)))
-        lo = self.centers.min() + self.bandwidth * (norm.ppf(uu.min()) - 1.0)
-        hi = self.centers.max() + self.bandwidth * (norm.ppf(uu.max()) + 1.0)
-        out = np.empty_like(uu)
-        for i, ui in enumerate(uu):
-            out[i] = brentq(
-                lambda t: float(ndtr((t - self.centers) / self.bandwidth).mean()) - ui,
-                lo,
-                hi,
-                xtol=1e-12,
-            )
-        return float(out[0]) if scalar else out.reshape(np.shape(u))
-
     def to_dict(self):
         return {
             "kind": self.kind,
@@ -103,7 +86,7 @@ class EmpiricalMargin:
     """Piecewise-linear CDF through the points ``(x_(i), rank_i/(n+1))``.
 
     Ties take the highest rank.  Between knots the CDF is interpolated
-    linearly, which makes ``quantile`` an exact inverse on the interior.
+    linearly.
     """
 
     kind = "empirical"
@@ -139,10 +122,6 @@ class EmpiricalMargin:
         idx = np.clip(np.searchsorted(self.knots_x, x, side="right") - 1, 0, slopes.size - 1)
         inside = (x >= self.knots_x[0]) & (x <= self.knots_x[-1])
         return np.where(inside, slopes[idx], 0.0)
-
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.interp(u, self.knots_p, self.knots_x)
 
     def to_dict(self):
         return {
@@ -191,10 +170,6 @@ class OrdinalMargin:
 
     def pdf(self, x):
         return self.probs[ordinal_codes(x, self.levels) - 1]
-
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.searchsorted(self._cum, u, side="left") + 1.0
 
     def to_dict(self):
         return {"kind": self.kind, "probs": self.probs.tolist()}

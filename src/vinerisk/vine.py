@@ -213,7 +213,6 @@ class FitConfig:
     indep_test_level: Optional[float] = 0.01
     margin_method: str = "kernel"  # continuous margins: "kernel" or "empirical"
     priors: str = "equal"  # classifier priors: "equal" or "empirical"
-    seed: int = 0
 
     def __post_init__(self):
         for fam in self.families:
@@ -521,8 +520,9 @@ def _quadrature_spearman(cop: Bicop, rule) -> float:
     x, w = rule
     u, v = x[:, None], x[None, :]
     if cop.family == "studentt":
-        # The t's cdf is a per-point integral; integrating C by parts in v
-        # gives the same rho from its closed-form h-function instead.
+        # The t's cdf averages 76-159 bivariate-normal CDFs: 0.2-1.2 s on
+        # this grid.  Integrating C by parts in v gives the same rho from
+        # its closed-form h-function in milliseconds.
         return float(3.0 - 12.0 * w @ (v * cop.hfunc(u, v, "1|2")) @ w)
     return float(12.0 * w @ cop.cdf(u, v) @ w - 3.0)
 

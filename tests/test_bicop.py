@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
+from scipy.special import stdtr, stdtrit
 
 from vinerisk.bicop import (
     CONTRIB_FLOOR,
@@ -143,6 +144,63 @@ def test_studentt_cdf_against_scipy():
     for u, v in pts:
         expected = mvt.cdf([tdist.ppf(u, nu), tdist.ppf(v, nu)])
         assert_allclose(c.cdf(u, v), expected, atol=5e-5)
+
+
+@pytest.mark.parametrize(
+    "params,u,v",
+    [((-0.5, 4.0), 1 - 1e-10, 0.3), ((-0.9, 2.05), 1.0, 0.98), ((0.9, 2.05), 1 - 1e-6, 0.3)],
+)
+def test_studentt_cdf_with_an_argument_deep_in_the_tail(params, u, v):
+    # C(u, v) = v - int_u^1 h(v | w) dw; the integral is below 1e-10 at the
+    # first two points and 1.8e-8 at the third, the t's upper tail dependence
+    cop = Bicop("studentt", 0, params)
+    tail, _ = integrate.quad(
+        lambda w: cop.hfunc(w, v, "2|1"), min(u, 1 - EPS), 1 - EPS, epsabs=1e-15
+    )
+    assert abs(cop.cdf(u, v) - (v - tail)) < 1e-9
+
+
+#: The clamp edges, 1e-8, 1e-4, their mirrors and an interior grid.  Its
+#: 0.49999999999999994 is where scipy's ``stdtrit`` at nu = 4 is off by 1.1e-8.
+_T_AXIS = np.concatenate(
+    [[EPS, 1e-8, 1e-4], np.linspace(0.01, 0.99, 15), [1 - 1e-4, 1 - 1e-8, 1 - EPS]]
+)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.9, -0.9, 0.999, -0.999])
+@pytest.mark.parametrize("nu", [2.05, 4.0, 30.0])
+def test_studentt_cdf_frechet_bounds_and_margins(rho, nu):
+    cop = Bicop("studentt", 0, (rho, nu))
+    a, b = (g.ravel() for g in np.meshgrid(_T_AXIS, _T_AXIS))
+    c = cop.cdf(a, b)
+    assert np.all(c >= np.maximum(a + b - 1.0, 0.0) - 1e-12)
+    assert np.all(c <= np.minimum(a, b) + 1e-12)
+    assert_allclose(cop.cdf(_T_AXIS, 1 - EPS), _T_AXIS, rtol=0, atol=1e-9)
+
+
+def _quad_studentt_cdf(u, v, rho, nu):
+    """The t copula CDF as one quadrature per point of the t density times
+    the conditional CDF: the formula the scale-mixture rule replaced."""
+    out = np.empty(np.shape(u))
+    scale = math.sqrt(1.0 - rho * rho)
+    for i in np.ndindex(out.shape):
+        xu = float(stdtrit(nu, u[i]))
+        yv = float(stdtrit(nu, v[i]))
+
+        def integrand(t):
+            cond = (yv - rho * t) / (scale * math.sqrt((nu + t * t) / (nu + 1.0)))
+            return stats.t.pdf(t, nu) * stdtr(nu + 1.0, cond)
+
+        out[i], _ = integrate.quad(integrand, -np.inf, xu, epsabs=1e-12, epsrel=1e-10, limit=200)
+    return out
+
+
+@pytest.mark.parametrize("rho,nu", [(0.45, 5.0), (-0.7, 2.05), (0.95, 4.0), (-0.2, 30.0)])
+def test_studentt_cdf_matches_quadrature(rho, nu):
+    grid = np.linspace(1e-3, 1 - 1e-3, 9)
+    a, b = (g.ravel() for g in np.meshgrid(grid, grid))
+    cop = Bicop("studentt", 0, (rho, nu))
+    assert_allclose(cop.cdf(a, b), _quad_studentt_cdf(a, b, rho, nu), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +689,7 @@ def test_reflection_table_matches_branch_ladders(family, rotation, tau):
     cop = make(family, rotation, -tau if rotation in (90, 270) else tau)
     a, b = (g.ravel() for g in np.meshgrid(_EDGE_AXIS, _EDGE_AXIS))
     with np.errstate(all="ignore"):
-        if family != "studentt":  # the t CDF is a quadrature per point
-            assert_array_equal(cop.cdf(a, b), _ladder_cdf(cop, a, b))
+        assert_array_equal(cop.cdf(a, b), _ladder_cdf(cop, a, b))
         assert_array_equal(cop.logpdf(a, b), _ladder_logpdf(cop, a, b))
         for direction in ("1|2", "2|1"):
             assert_array_equal(cop.hfunc(a, b, direction), _ladder_hfunc(cop, a, b, direction))
@@ -821,11 +878,10 @@ def test_contributions_equal_clipped_public_methods(family, rotation):
     diff = cop.hfunc(up, vp, "2|1") - cop.hfunc(up, vm, "2|1")
     want = np.log(np.maximum(diff, CONTRIB_FLOOR)) - log_mass_v
     assert_array_equal(bicop_contributions(cop, obs), want)
-    if family != "studentt":  # the t CDF is a quadrature per point
-        obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm, u_disc=True, v_disc=True)
-        rect = cop.cdf(up, vp) - cop.cdf(up, vm) - cop.cdf(um, vp) + cop.cdf(um, vm)
-        want = np.log(np.maximum(rect, CONTRIB_FLOOR)) - log_mass_u - log_mass_v
-        assert_array_equal(bicop_contributions(cop, obs), want)
+    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm, u_disc=True, v_disc=True)
+    rect = cop.cdf(up, vp) - cop.cdf(up, vm) - cop.cdf(um, vp) + cop.cdf(um, vm)
+    want = np.log(np.maximum(rect, CONTRIB_FLOOR)) - log_mass_u - log_mass_v
+    assert_array_equal(bicop_contributions(cop, obs), want)
 
 
 # ---------------------------------------------------------------------------

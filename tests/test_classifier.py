@@ -228,7 +228,7 @@ class TestRiskGroups:
 class TestFitClassifier:
     def test_fit_separated_classes(self):
         train = _two_class_data()
-        model = fit_classifier(train, FitConfig(seed=0))
+        model = fit_classifier(train, FitConfig())
         assert model.classes == [0, 1]
         assert_allclose(model.priors, [0.5, 0.5], rtol=1e-15)
         probs = posterior(model, train.x)
