@@ -15,11 +15,10 @@ from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import rankdata
 
 from .data import Dataset, Schema, check_rows
 from .errors import DegenerateLabels, TooFewObservations
-from .latent import latent_correlation_matrix
+from .latent import latent_correlation_matrix, midranks
 from .margins import fit_margin
 from .vine import FitConfig, VineModel, fit_vine, select_structure, vine_logdensity
 
@@ -190,7 +189,7 @@ def auc(scores: np.ndarray, labels: np.ndarray, positive) -> float:
     n0 = scores.size - n1
     if n1 == 0 or n0 == 0:
         raise DegenerateLabels("AUC needs both classes present")
-    ranks = rankdata(scores)
+    ranks = midranks(scores)
     return float((ranks[pos].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 

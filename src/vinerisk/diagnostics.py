@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .data import ordinal_codes
-from .latent import normal_scores, ordinal_thresholds, polyserial_rho
+from .latent import midranks, normal_scores, ordinal_thresholds, polyserial_rho
 from .vine import VineModel, model_spearman
 
 MIN_CATEGORY_ROWS = 3
@@ -46,8 +45,9 @@ def conditional_spearman(x, y, z) -> dict:
     """Spearman's rho of (x, y) within each category of the ordinal z.
 
     Categories with fewer than ``MIN_CATEGORY_ROWS`` rows are omitted, as
-    are degenerate ones (a constant column leaves rho undefined).  Midranks
-    handle ties.
+    are degenerate ones (a constant column leaves rho undefined).  Rho is
+    the Pearson correlation of the midranks, as ``scipy.stats.spearmanr``
+    computes it.
     """
     x, y, z = _columns(x, y, z)
     out = {}
@@ -58,7 +58,8 @@ def conditional_spearman(x, y, z) -> dict:
         xs, ys = x[mask], y[mask]
         if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
             continue
-        out[int(cat)] = float(stats.spearmanr(xs, ys).statistic)
+        ranks = np.column_stack([midranks(xs), midranks(ys)])
+        out[int(cat)] = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     return out
 
 
@@ -242,8 +243,8 @@ def latent_normal_scores(x, codes, levels: int, seed: int = 0) -> tuple:
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=x.size)
     # inverse-CDF sampling of the truncated normal on (a, b)
-    fa = stats.norm.cdf(a)
-    fb = stats.norm.cdf(b)
+    fa = ndtr(a)
+    fb = ndtr(b)
     p = np.clip(fa + u * (fb - fa), 1e-15, 1.0 - 1e-15)
     zk = mean + sd * ndtri(p)
     zk = np.clip(zk, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))

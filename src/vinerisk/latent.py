@@ -5,6 +5,9 @@ continuous-ordinal pairs a two-step polyserial estimate and ordinal-ordinal
 pairs a two-step polychoric estimate (thresholds from the smoothed category
 proportions of :func:`~vinerisk.margins.smoothed_level_probs`, then
 one-dimensional likelihood maximization over the latent correlation).
+Normal scores rank by :func:`midranks`, computed in the package as
+``scipy.stats.rankdata`` computes average ranks, so importing the package
+does not load ``scipy.stats``.
 Ordinal codes pass :func:`~vinerisk.data.ordinal_codes` first, so a code
 outside ``1..levels`` raises OrdinalOutOfRange instead of shifting the
 thresholds.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 from scipy.special import ndtr, ndtri
 
 from .bvn import bvn_cdf
@@ -36,11 +39,18 @@ _RHO_BOUNDS = (-0.999, 0.999)
 MIN_OBS = 10
 
 
+def midranks(x) -> np.ndarray:
+    """Ranks 1..n of a finite sample, tied values sharing the mean of the
+    ranks they span (``scipy.stats.rankdata``'s "average" method)."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    upto = np.cumsum(counts)
+    return ((upto - counts + upto + 1.0) / 2.0)[group]
+
+
 def normal_scores(x) -> np.ndarray:
     """Map a sample to normal scores ``ndtri(rank / (n + 1))`` (midranks)."""
     x = np.asarray(x, dtype=float)
-    ranks = stats.rankdata(x, method="average")
-    return ndtri(ranks / (x.size + 1.0))
+    return ndtri(midranks(x) / (x.size + 1.0))
 
 
 def normal_scores_pearson(x, y) -> float:

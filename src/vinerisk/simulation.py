@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit, ndtri
+from scipy.special import expit, ndtri, pdtr, pdtrik
 
 from .bicop import Bicop, tau_to_param
 from .classifier import evaluate_probs, fit_classifier, posterior
@@ -57,6 +56,16 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
 
 
+def poisson_quantile(q, lam: float) -> np.ndarray:
+    """Smallest ``k`` with ``P(K <= k) >= q`` for ``K ~ Poisson(lam)``, as
+    floats, for ``q`` in (0, 1) (``Bicop.sample`` keeps its draws inside):
+    ``scipy.stats.poisson.ppf``'s steps, ``k`` from ``pdtrik`` rounded up
+    and one step down where the CDF already reaches ``q``."""
+    k = np.ceil(pdtrik(q, lam))
+    below = np.maximum(k - 1.0, 0.0)
+    return np.where(pdtr(below, lam) >= q, below, k)
+
+
 def simulate_dgp(cfg: DgpConfig) -> Dataset:
     """Draw ``n_train + n_test`` rows per class, deterministically per seed.
 
@@ -79,7 +88,7 @@ def simulate_dgp(cfg: DgpConfig) -> Dataset:
         x2 = np.concatenate([ndtri(u1[:, 1]), ndtri(u0[:, 1])]) * cfg.sigma + cfg.mu_y
         spec2 = VariableSpec("x2", "continuous")
     else:
-        counts = stats.poisson.ppf(np.concatenate([u1[:, 1], u0[:, 1]]), cfg.lam)
+        counts = poisson_quantile(np.concatenate([u1[:, 1], u0[:, 1]]), cfg.lam)
         x2 = counts + 1.0  # 1-based ordinal codes
         spec2 = VariableSpec("x2", "ordinal", levels=int(x2.max()))
     labels = np.concatenate([np.ones(n, dtype=int), np.zeros(n, dtype=int)])

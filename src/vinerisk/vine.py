@@ -33,6 +33,7 @@ from .bicop import (
     ROTATABLE,
     ROTATIONS,
     Bicop,
+    _gauss_legendre,
     bicop_condition,
     bicop_contributions,  # noqa: F401  (kept importable here: perfbench/tracing.py wraps it)
     bicop_fit,
@@ -504,12 +505,6 @@ def vine_mbic(model: VineModel, n: Optional[int] = None) -> float:
             q = 0
         prior += q * math.log(psi_m) + (edges_at_level - q) * math.log1p(-psi_m)
     return -2.0 * ll + nu * math.log(n) - 2.0 * prior
-
-
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # the 128 x 128 product rule of model_spearman

@@ -16,6 +16,7 @@ from vinerisk.bicop import (
     ROTATABLE,
     Bicop,
     PairObs,
+    _gauss_legendre,
     bicop_fit,
     bicop_loglik,
     empirical_tau,
@@ -33,7 +34,6 @@ from vinerisk.vine import (
     VineStructure,
     _edge_candidates,
     _fit_edge,
-    _gauss_legendre,
     _quadrature_spearman,
     edge_penalty,
     edge_report,
