@@ -16,9 +16,11 @@ trapezoid rule (:func:`_t_mixture_rule`) over the Gaussian's ``bvn_cdf``.
 Kendall's tau, from which every fit starts by tau inversion, is computed
 in the package: :func:`kendall_tau_b` takes ``scipy.stats.kendalltau``'s
 steps with a merge-sort count of discordant pairs, and the Frank tau's
-Debye integral is a fixed 64-node Gauss-Legendre rule.  So the module needs
-only ``scipy.special`` and ``scipy.optimize``; importing ``scipy.stats`` and
-``scipy.integrate`` would add about half a second to every ``vinerisk``
+Debye integral is a fixed 64-node Gauss-Legendre rule.  The bounded search
+of :func:`bicop_fit` and the Joe and Frank tau inversions are Brent's
+methods in :mod:`vinerisk.optim`.  So the module needs only
+``scipy.special``; importing scipy's statistics, integration and
+optimisation subpackages would add most of a second to every ``vinerisk``
 command.
 
 Rotations are reflections of the unit square (Czado 2019, section 3.8),
@@ -51,11 +53,11 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 from scipy.special import digamma, gammaln, ndtr, ndtri, poch, stdtr, stdtrit, zetac
 
 from .bvn import bvn_cdf
 from .errors import NoConvergence, TooFewObservations
+from .optim import brentq, minimize_bounded
 
 #: Clamp applied to all copula arguments.
 EPS = 1e-10
@@ -539,7 +541,7 @@ class _Joe:
         if tau <= 0.0:
             return (1.0,)
         lo, hi = _Joe.bounds[0]
-        return (optimize.brentq(lambda d: _joe_tau(d) - tau, lo + 1e-9, hi, xtol=1e-10),)
+        return (brentq(lambda d: _joe_tau(d) - tau, lo + 1e-9, hi, xtol=1e-10),)
 
 
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -575,7 +577,7 @@ def _frank_theta_abs(tau: float) -> float:
     hi = _Frank.bounds[0][1]
     if tau >= _frank_tau_abs(hi):
         raise ValueError(f"tau {tau} not attainable by the frank copula")
-    return optimize.brentq(lambda t: _frank_tau_abs(t) - tau, 1e-6, hi, xtol=1e-10)
+    return brentq(lambda t: _frank_tau_abs(t) - tau, 1e-6, hi, xtol=1e-10)
 
 
 def _joe_tau(delta: float) -> float:
@@ -666,7 +668,11 @@ class Bicop:
         flip_u, flip_v = REFLECTIONS[self.rotation]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = _FAM[self.family].logpdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
-        return np.nan_to_num(out, nan=LOG_FLOOR, neginf=LOG_FLOOR, posinf=700.0)
+        out = np.asarray(out)
+        finite = np.isfinite(out)
+        if not finite.all():  # NaN and -inf to LOG_FLOOR, +inf to 700
+            out = np.where(finite, out, np.where(out > 0, 700.0, LOG_FLOOR))
+        return out[()] if out.ndim == 0 else out
 
     def pdf(self, u, v):
         return np.exp(self.logpdf(u, v))
@@ -1012,7 +1018,7 @@ def bicop_fit(
             return np.inf
         return -bicop_loglik(cop, obs)
 
-    res = optimize.minimize_scalar(neg_ll, bounds=_FAM[family].bounds[-1], method="bounded")
-    if res.fun < -start_ll:
-        return Bicop(family, rotation, fixed + (float(res.x),)), -float(res.fun)
+    x, fx = minimize_bounded(neg_ll, *_FAM[family].bounds[-1])
+    if fx < -start_ll:
+        return Bicop(family, rotation, fixed + (float(x),)), -float(fx)
     return start_cop, start_ll

@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr, ndtri
 
 from .bvn import bvn_cdf
 from .data import Dataset, ordinal_codes
 from .errors import DegenerateMargin, NearSingular, TooFewObservations
 from .margins import smoothed_level_probs
+from .optim import minimize_bounded
 
 #: Floor for cell probabilities inside latent likelihoods.
 PROB_FLOOR = 1e-12
@@ -92,8 +92,7 @@ def polyserial_rho(x, codes, levels: int) -> float:
         p = ndtr((t_hi - rho * z) / s) - ndtr((t_lo - rho * z) / s)
         return -float(np.sum(np.log(np.maximum(p, PROB_FLOOR))))
 
-    res = optimize.minimize_scalar(neg_ll, bounds=_RHO_BOUNDS, method="bounded")
-    return float(res.x)
+    return float(minimize_bounded(neg_ll, *_RHO_BOUNDS)[0])
 
 
 def polychoric_rho(codes1, levels1: int, codes2, levels2: int) -> float:
@@ -113,8 +112,7 @@ def polychoric_rho(codes1, levels1: int, codes2, levels2: int) -> float:
         cells = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
         return -float(np.sum(counts * np.log(np.maximum(cells, PROB_FLOOR))))
 
-    res = optimize.minimize_scalar(neg_ll, bounds=_RHO_BOUNDS, method="bounded")
-    return float(res.x)
+    return float(minimize_bounded(neg_ll, *_RHO_BOUNDS)[0])
 
 
 def pairwise_latent_rho(xi, spec_i, xj, spec_j) -> float:

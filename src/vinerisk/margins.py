@@ -21,6 +21,9 @@ from .errors import DegenerateMargin, TooFewObservations
 #: Clamp for probability-scale outputs handed to copulas.
 EPS = 1e-10
 
+#: Cells (values x centres) of one block of a kernel margin evaluation.
+BLOCK_CELLS = 32768
+
 
 def _clamp(u):
     return np.clip(u, EPS, 1.0 - EPS)
@@ -44,6 +47,8 @@ class KernelMargin:
         self.bandwidth = float(bandwidth)
         if self.bandwidth <= 0:
             raise DegenerateMargin("kernel bandwidth must be positive")
+        if self.centers.size == 0:
+            raise DegenerateMargin("kernel margin needs at least one centre")
 
     @classmethod
     def fit(cls, values) -> "KernelMargin":
@@ -59,17 +64,30 @@ class KernelMargin:
         bw = 0.9 * spread * n ** (-0.2)
         return cls(values, bw)
 
-    def pdf(self, x):
+    def _kernel_mean(self, x, kernel):
+        """Mean of ``kernel(z)`` over the centres for each value of ``x``,
+        ``z = (x - centre) / bandwidth``.
+
+        The (values x centres) matrix is built in row blocks of at most
+        ``BLOCK_CELLS`` cells, so its temporaries stay in cache; each row is
+        reduced exactly as from the whole matrix.
+        """
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self.centers) / self.bandwidth
-        return np.exp(-0.5 * z * z).mean(axis=-1) / (
+        flat = x.reshape(-1)
+        out = np.empty(flat.size)
+        rows = max(1, BLOCK_CELLS // self.centers.size)
+        for i in range(0, flat.size, rows):
+            z = (flat[i : i + rows, None] - self.centers) / self.bandwidth
+            out[i : i + rows] = kernel(z).mean(axis=-1)
+        return out.reshape(x.shape)[()]
+
+    def pdf(self, x):
+        return self._kernel_mean(x, lambda z: np.exp(-0.5 * z * z)) / (
             self.bandwidth * np.sqrt(2.0 * np.pi)
         )
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self.centers) / self.bandwidth
-        return _clamp(ndtr(z).mean(axis=-1))
+        return _clamp(self._kernel_mean(x, ndtr))
 
     def cdf_left(self, x):
         return self.cdf(x)

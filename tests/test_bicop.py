@@ -625,6 +625,30 @@ def _ladder_logpdf(cop, u, v):
     return np.nan_to_num(out, nan=LOG_FLOOR, neginf=LOG_FLOOR, posinf=700.0)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([0.5, np.nan, -np.inf, np.inf, -1.0, 1e308]),
+        np.array([[np.nan, 2.0], [np.inf, -np.inf]]),
+        np.array([0.25, -3.0]),
+        np.array(np.nan),
+        np.array(np.inf),
+        np.array(-np.inf),
+        np.array(-2.5),
+        np.float64(np.nan),
+        np.float64(1.5),
+        np.array([]),
+    ],
+)
+def test_logpdf_floors_non_finite_values_as_nan_to_num(monkeypatch, values):
+    monkeypatch.setattr(_FAM["gaussian"], "logpdf", staticmethod(lambda u, v, p: values.copy()))
+    got = Bicop("gaussian", 0, (0.5,))._logpdf(0.3, 0.6)
+    want = np.nan_to_num(values, nan=LOG_FLOOR, neginf=LOG_FLOOR, posinf=700.0)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def _ladder_hfunc(cop, u, v, direction):
     u, v = _clip(u), _clip(v)
     h, p, rot = _FAM[cop.family].hfunc, cop.params, cop.rotation

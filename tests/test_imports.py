@@ -1,5 +1,5 @@
-"""The package loads neither ``scipy.stats`` nor ``scipy.integrate``, on
-import or in use.
+"""The package loads none of ``scipy.stats``, ``scipy.integrate``,
+``scipy.optimize`` and ``scipy.linalg``, on import or in use.
 
 Each check runs in a fresh interpreter, because other test modules import
 ``scipy.stats`` themselves.
@@ -15,16 +15,22 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-REPORT = """
+FORBIDDEN = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg")
+
+REPORT = f"""
 import sys
-print(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate"))))
+FORBIDDEN = {FORBIDDEN!r}
+print(sorted(m for m in sys.modules if m.startswith(FORBIDDEN)))
 """
 
-# one call to each function whose body used scipy.stats or scipy.integrate
+# one call to each function whose body used scipy.stats, scipy.integrate or
+# scipy.optimize; the two-variable fit computes no latent correlation, so
+# the polyserial and polychoric estimates are called directly
 SESSION = """
 import numpy as np
 import vinerisk as vr
 from vinerisk.bicop import Bicop, tau_to_param
+from vinerisk.latent import polychoric_rho, polyserial_rho
 
 ds = vr.simulate_dgp(vr.DgpConfig(variant="mixed", n_train=60, n_test=20, seed=1))
 model = vr.fit_classifier(ds, vr.FitConfig(families=("indep", "gaussian", "frank", "clayton")))
@@ -42,6 +48,9 @@ vr.bootstrap_bands(x1, y, x2, replicates=100, seed=0)
 vr.latent_normal_scores(x1, x2, levels)
 Bicop("studentt", 0, (0.5, 4.0)).cdf(0.3, 0.6)
 tau_to_param("frank", 0.4)
+tau_to_param("joe", 0.4)
+polyserial_rho(x1, x2, levels)
+polychoric_rho(x2, levels, np.minimum(x2, 3), levels)
 """
 
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from vinerisk.data import VariableSpec
 from vinerisk.errors import DegenerateMargin, OrdinalOutOfRange, TooFewObservations
 from vinerisk.margins import (
+    BLOCK_CELLS,
     EPS,
     EmpiricalMargin,
     KernelMargin,
@@ -46,6 +48,8 @@ class TestKernelMargin:
             KernelMargin.fit(np.full(50, 3.0))
         with pytest.raises(TooFewObservations):
             KernelMargin.fit(np.array([1.0]))
+        with pytest.raises(DegenerateMargin):
+            margin_from_dict({"kind": "kernel", "centers": [], "bandwidth": 1.0})
 
     def test_direct_construction_is_exact_normal(self):
         # a single center with unit bandwidth is the standard normal
@@ -55,6 +59,19 @@ class TestKernelMargin:
         x = np.linspace(-3, 3, 13)
         assert_allclose(m.pdf(x), norm.pdf(x), rtol=1e-12)
         assert_allclose(m.cdf(x), np.clip(norm.cdf(x), EPS, 1 - EPS), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1500,), (37, 41), (0,)])
+    def test_blocked_evaluation_is_the_one_shot_formula_to_the_bit(self, sample, shape):
+        m = KernelMargin.fit(sample)
+        # 1500 rows of 400 centres span 19 blocks of 81 rows, the last one partial
+        assert 1500 % (BLOCK_CELLS // m.centers.size) != 0
+        x = np.random.default_rng(5).normal(2.0, 3.0, size=shape)
+        z = (x[..., None] - m.centers) / m.bandwidth
+        pdf = np.exp(-0.5 * z * z).mean(axis=-1) / (m.bandwidth * np.sqrt(2.0 * np.pi))
+        cdf = np.clip(ndtr(z).mean(axis=-1), EPS, 1.0 - EPS)
+        for got, want in ((m.pdf(x), pdf), (m.cdf(x), cdf)):
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestEmpiricalMargin:

@@ -1,17 +1,29 @@
-"""The package's replacements for ``scipy.stats`` and ``scipy.integrate``
-calls against scipy itself: bitwise where they take scipy's own steps, and
-within a stated tolerance where the arithmetic differs."""
+"""The package's replacements for ``scipy.stats``, ``scipy.integrate`` and
+``scipy.optimize`` calls against scipy itself: bitwise where they take
+scipy's own steps, and within a stated tolerance where the arithmetic
+differs."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 from scipy.special import pdtr, stdtr, stdtrit
 
-from vinerisk.bicop import PairObs, _frank_tau_abs, _t_pdf, _t_quantile, empirical_tau, kendall_tau_b
+from vinerisk.bicop import (
+    PairObs,
+    _frank_tau_abs,
+    _Joe,
+    _joe_tau,
+    _t_pdf,
+    _t_quantile,
+    empirical_tau,
+    family_tau_range,
+    kendall_tau_b,
+)
 from vinerisk.diagnostics import conditional_spearman
 from vinerisk.latent import midranks
+from vinerisk.optim import brentq, minimize_bounded
 from vinerisk.simulation import poisson_quantile
 
 
@@ -129,3 +141,94 @@ def test_frank_tau_rule_matches_the_adaptive_quadrature():
         debye, _ = integrate.quad(lambda t: t / math.expm1(t), 0.0, theta, limit=200)
         former = 1.0 - 4.0 / theta * (1.0 - debye / theta)
         assert abs(_frank_tau_abs(theta) - former) <= 1e-13, theta
+
+
+def _bounded_cases(rng, count):
+    """``(func, lo, hi)``: smooth functions with interior minima, functions
+    that are ``+inf`` on part of the interval, minima at either bound and
+    flat functions."""
+    for i in range(count):
+        c = rng.normal(size=4)
+        lo, hi = sorted(rng.uniform(-5.0, 5.0, 2))
+        kind = i % 5
+        if kind == 0:
+            yield (lambda x, c=c: c[0] ** 2 * (x - c[1]) ** 2 + c[2] * math.sin(3.0 * x)), lo, hi
+        elif kind == 1:
+            yield (lambda x, c=c: np.inf if x > c[0] else (x - c[1]) ** 4 + c[2] * x), lo, hi
+        elif kind == 2:
+            yield (lambda x, c=c: np.float64(abs(c[0]) * x)), lo, hi
+        elif kind == 3:
+            yield (lambda x, c=c: -abs(c[0]) * x), lo, hi
+        else:
+            yield (lambda x: 1.0), lo, hi
+
+
+def test_minimize_bounded_is_scipys_to_the_bit():
+    rng = np.random.default_rng(20261019)
+    for func, lo, hi in _bounded_cases(rng, 1000):
+        with np.errstate(invalid="ignore"):
+            want = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded")
+            x, fx = minimize_bounded(func, lo, hi)
+        assert (_bits(x), _bits(fx)) == (_bits(want.x), _bits(want.fun)), (lo, hi, x, want.x)
+
+
+def _tau_grid(family):
+    lo, hi = family_tau_range(family)
+    return np.linspace(1e-3, min(hi, 0.95) - 1e-3, 200)
+
+
+def test_brentq_inverts_the_joe_and_frank_tau_as_scipy_does():
+    lo, hi = _Joe.bounds[0]
+    for tau in _tau_grid("joe"):
+        f = lambda d, tau=tau: _joe_tau(d) - tau  # noqa: E731
+        want = optimize.brentq(f, lo + 1e-9, hi, xtol=1e-10)
+        assert _bits(brentq(f, lo + 1e-9, hi, xtol=1e-10)) == _bits(want), tau
+    for tau in _tau_grid("frank"):
+        f = lambda t, tau=tau: _frank_tau_abs(t) - tau  # noqa: E731
+        want = optimize.brentq(f, 1e-6, 35.0, xtol=1e-10)
+        assert _bits(brentq(f, 1e-6, 35.0, xtol=1e-10)) == _bits(want), tau
+
+
+def test_brentq_is_scipys_to_the_bit_on_bracketed_functions():
+    rng = np.random.default_rng(7)
+    shapes = (
+        lambda x, r, s: s * (x - r),
+        lambda x, r, s: math.tanh(3.0 * (x - r)),
+        lambda x, r, s: math.expm1(x - r),
+        lambda x, r, s: math.copysign(abs(x - r) ** 0.3, x - r),
+        lambda x, r, s: (x - r) ** 3 + 0.01 * (x - r),
+        lambda x, r, s: float(math.floor(4.0 * (x - r))) + 0.5,
+    )
+    for i in range(1200):
+        r = rng.uniform(-3.0, 3.0)
+        a, b = r - rng.uniform(0.01, 4.0), r + rng.uniform(0.01, 4.0)
+        s = 10.0 ** rng.integers(-200, 200)
+        f = lambda x, g=shapes[i % len(shapes)], r=r, s=s: g(x, r, s)  # noqa: E731
+        xtol = 10.0 ** rng.uniform(-14.0, -2.0)
+        want = optimize.brentq(f, a, b, xtol=xtol)
+        assert _bits(brentq(f, a, b, xtol=xtol)) == _bits(want), (i, a, b, r)
+
+
+def _outcome(solver, f, a, b, xtol):
+    try:
+        return solver(f, a, b, xtol=xtol)
+    except (ValueError, RuntimeError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, xtol",
+    [
+        (lambda x: x - 0.3, 0.3, 1.0, 1e-10),  # a root at the lower end
+        (lambda x: x - 1.0, 0.3, 1.0, 1e-10),  # and at the upper end
+        (lambda x: x + 1.0, 0.0, 1.0, 1e-10),  # f(a) and f(b) share a sign
+        (lambda x: 1e-200, 0.0, 1.0, 1e-10),  # a sign no product may lose
+        (lambda x: np.nan if x > 0.5 else x - 0.3, 0.0, 1.0, 1e-10),  # NaN at b
+        (lambda x: np.nan if 0.2 < x < 0.4 else x - 0.3, 0.0, 1.0, 1e-10),  # NaN inside
+        (lambda x: math.copysign(1.0, x), -1.0, 1.0, 1e-300),  # 100 halvings fall short
+    ],
+)
+def test_brentq_ends_as_scipy_does(f, a, b, xtol):
+    want = _outcome(optimize.brentq, f, a, b, xtol)
+    got = _outcome(brentq, f, a, b, xtol)
+    assert got == want if isinstance(want, type) else _bits(got) == _bits(want)
