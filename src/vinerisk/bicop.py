@@ -49,17 +49,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.special import digamma, gammaln, ndtr, ndtri, poch, stdtr, stdtrit, zetac
 
 from .bvn import bvn_cdf
+from .data import MIN_ROWS
 from .errors import NoConvergence, TooFewObservations
 from .optim import brentq, minimize_bounded
 
-#: Clamp applied to all copula arguments.
+#: Clamp applied to all copula arguments, margin CDFs included.
 EPS = 1e-10
 
 #: Floor for individual likelihood contributions before taking logs.
@@ -68,8 +68,6 @@ LOG_FLOOR = math.log(CONTRIB_FLOOR)
 
 #: Floor for a discrete side's probability mass, the denominator of its conditional CDFs.
 MASS_FLOOR = 1e-12
-
-FAMILIES = ("indep", "gaussian", "studentt", "clayton", "gumbel", "frank", "joe")
 
 #: Families that admit rotations (asymmetric, positive-dependence base form).
 ROTATABLE = ("clayton", "gumbel", "joe")
@@ -570,7 +568,6 @@ def _frank_tau_abs(theta: float) -> float:
     return 1.0 - 4.0 / theta * (1.0 - debye)
 
 
-@lru_cache(maxsize=512)
 def _frank_theta_abs(tau: float) -> float:
     if tau <= 0.0:
         raise ValueError("frank copula needs a nonzero tau target")
@@ -602,6 +599,7 @@ def _joe_tau(delta: float) -> float:
 _FAM = {
     f.name: f for f in (_Indep, _Gaussian, _StudentT, _Clayton, _Gumbel, _Frank, _Joe)
 }
+FAMILIES = tuple(_FAM)
 
 
 def family_tau_range(family: str) -> tuple[float, float]:
@@ -986,7 +984,6 @@ def bicop_fit(
     family: str,
     rotation: int,
     obs: PairObs,
-    min_obs: int = 10,
     tau: Optional[float] = None,
     start: Optional[tuple[Bicop, float]] = None,
 ) -> tuple[Bicop, float]:
@@ -1002,9 +999,9 @@ def bicop_fit(
     the ``itau`` estimator of Czado 2019, section 7).  The fit never
     returns a likelihood below the start's.
     """
-    if obs.n < min_obs:
+    if obs.n < MIN_ROWS:
         raise TooFewObservations(
-            f"pair-copula fit needs at least {min_obs} observations, got {obs.n}"
+            f"pair-copula fit needs at least {MIN_ROWS} observations, got {obs.n}"
         )
     if family == "indep":
         return INDEP, bicop_loglik(INDEP, obs)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import Dataset, Schema, check_rows
+from .data import MIN_ROWS, Dataset, Schema, check_rows
 from .errors import DegenerateLabels, TooFewObservations
 from .latent import latent_correlation_matrix, midranks
 from .margins import fit_margin
@@ -93,8 +93,8 @@ def fit_classifier(
     vines = []
     for cls in classes:
         ds = per_class[cls]
-        if ds.n < 10:
-            raise TooFewObservations(f"class {cls} has only {ds.n} rows (need 10)")
+        if ds.n < MIN_ROWS:
+            raise TooFewObservations(f"class {cls} has only {ds.n} rows (need {MIN_ROWS})")
         cfg = config
         if class_families and cls in class_families:
             cfg = dataclasses.replace(config, families=tuple(class_families[cls]))

@@ -30,7 +30,7 @@ from .data import Schema, load_dataset
 from .diagnostics import bootstrap_bands, latent_normal_scores, model_conditional_spearman
 from .errors import VineRiskError
 from .scenario import BaseProfile, GridSpec, risk_curve, risk_surface
-from .simulation import DgpConfig, benchmark_run, simulate_dgp, split_train_test
+from .simulation import CLASS_GENERATORS, DgpConfig, benchmark_run, simulate_dgp, split_train_test
 from .vine import FitConfig
 
 OUT_DIR_ENV = "VINERISK_OUT"
@@ -353,8 +353,8 @@ def _cmd_benchmark(args) -> int:
         meta_out,
         {
             "label_mapping": {
-                "generator class 1 (frank, tau 0.5)": 1,
-                "generator class 2 (gumbel, tau 0.9)": 0,
+                f"generator class {k} ({g.family}, tau {g.tau})": label
+                for k, (label, g) in enumerate(CLASS_GENERATORS.items(), start=1)
             },
             "seeds": seeds,
             "variants": variants,

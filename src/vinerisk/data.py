@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -39,10 +40,15 @@ ORDINAL = "ordinal"
 #: no longer tell neighbouring whole numbers apart.
 _MAX_CODE = 2.0**53
 
+#: Fewest rows a dependence estimate or fit accepts: each latent
+#: correlation, each pair-copula fit, each vine and each class of a classifier.
+MIN_ROWS = 10
+
 
 @dataclass(frozen=True)
 class VariableSpec:
-    """Declaration of a single modeled variable."""
+    """Declaration of a single modeled variable.  An ordinal one's ``levels``
+    is a whole number >= 2 (an ``int`` or an integral float), kept as ``int``."""
 
     name: str
     kind: str
@@ -54,10 +60,15 @@ class VariableSpec:
         if self.kind not in (CONTINUOUS, ORDINAL):
             raise SchemaError(f"unknown variable kind {self.kind!r}")
         if self.kind == ORDINAL:
-            if self.levels is None or int(self.levels) < 2:
+            whole = isinstance(self.levels, numbers.Integral) or (
+                isinstance(self.levels, float) and self.levels.is_integer()
+            )
+            if isinstance(self.levels, bool) or not whole or self.levels < 2:
                 raise SchemaError(
-                    f"ordinal variable {self.name!r} needs levels >= 2"
+                    f"ordinal variable {self.name!r} needs a whole number of "
+                    f"levels >= 2, got {self.levels!r}"
                 )
+            object.__setattr__(self, "levels", int(self.levels))
         elif self.levels is not None:
             raise SchemaError(
                 f"continuous variable {self.name!r} must not declare levels"
@@ -110,7 +121,7 @@ class Schema:
             "variables": [
                 {"name": v.name, "kind": v.kind}
                 if v.levels is None
-                else {"name": v.name, "kind": v.kind, "levels": int(v.levels)}
+                else {"name": v.name, "kind": v.kind, "levels": v.levels}
                 for v in self.variables
             ],
             "label": self.label,
@@ -127,7 +138,7 @@ class Schema:
             VariableSpec(
                 name=str(entry["name"]),
                 kind=str(entry["kind"]),
-                levels=int(entry["levels"]) if entry.get("levels") is not None else None,
+                levels=entry.get("levels"),
             )
             for entry in raw
         )
@@ -304,8 +315,9 @@ def load_dataset(path, schema: Schema) -> Dataset:
 
     Raises
     ------
-    MissingColumn, MissingValue, NonNumericCell, OrdinalOutOfRange, EmptyDataset
-        On malformed input; messages identify the offending column and row.
+    MissingColumn, MissingValue, NonNumericCell, OrdinalOutOfRange, EmptyDataset, SchemaError
+        On malformed input, such as a column the schema reads appearing twice
+        in the header; messages identify the offending column and row.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -318,6 +330,8 @@ def load_dataset(path, schema: Schema) -> Dataset:
         for want in schema.names + [c for c in (schema.label, schema.aux) if c]:
             if want not in header:
                 raise MissingColumn(f"{path}: required column {want!r} not found")
+            if header.count(want) > 1:
+                raise SchemaError(f"{path}: column {want!r} appears more than once in the header")
             col_index[want] = header.index(want)
         rows = []
         for irow, rec in enumerate(reader, start=1):

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .bvn import bvn_cdf
-from .data import Dataset, ordinal_codes
+from .data import MIN_ROWS, Dataset, ordinal_codes
 from .errors import DegenerateMargin, NearSingular, TooFewObservations
 from .margins import smoothed_level_probs
 from .optim import minimize_bounded
@@ -36,7 +36,6 @@ PROB_FLOOR = 1e-12
 EIG_FLOOR = 1e-6
 
 _RHO_BOUNDS = (-0.999, 0.999)
-MIN_OBS = 10
 
 
 def midranks(x) -> np.ndarray:
@@ -56,8 +55,8 @@ def normal_scores(x) -> np.ndarray:
 def normal_scores_pearson(x, y) -> float:
     """Pearson correlation of the normal scores of two continuous samples."""
     x = np.asarray(x, float)
-    if x.size < MIN_OBS:
-        raise TooFewObservations(f"need at least {MIN_OBS} rows, got {x.size}")
+    if x.size < MIN_ROWS:
+        raise TooFewObservations(f"need at least {MIN_ROWS} rows, got {x.size}")
     zx, zy = normal_scores(x), normal_scores(y)
     if zx.std() == 0.0 or zy.std() == 0.0:
         raise DegenerateMargin("constant column in correlation estimate")
@@ -78,8 +77,8 @@ def polyserial_rho(x, codes, levels: int) -> float:
     """Two-step polyserial correlation of a continuous and an ordinal sample."""
     x = np.asarray(x, float)
     codes = ordinal_codes(codes, levels)
-    if x.size < MIN_OBS:
-        raise TooFewObservations(f"need at least {MIN_OBS} rows, got {x.size}")
+    if x.size < MIN_ROWS:
+        raise TooFewObservations(f"need at least {MIN_ROWS} rows, got {x.size}")
     z = normal_scores(x)
     if z.std() == 0.0:
         raise DegenerateMargin("constant continuous column in polyserial estimate")
@@ -99,8 +98,8 @@ def polychoric_rho(codes1, levels1: int, codes2, levels2: int) -> float:
     """Two-step polychoric correlation of two ordinal samples."""
     codes1 = ordinal_codes(codes1, levels1)
     codes2 = ordinal_codes(codes2, levels2)
-    if codes1.size < MIN_OBS:
-        raise TooFewObservations(f"need at least {MIN_OBS} rows, got {codes1.size}")
+    if codes1.size < MIN_ROWS:
+        raise TooFewObservations(f"need at least {MIN_ROWS} rows, got {codes1.size}")
     thr1 = ordinal_thresholds(codes1, levels1)
     thr2 = ordinal_thresholds(codes2, levels2)
     counts = np.zeros((levels1, levels2))

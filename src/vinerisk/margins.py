@@ -15,18 +15,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
+from .bicop import EPS, _clip  # noqa: F401  (EPS: the copulas' clamp, re-exported)
 from .data import VariableSpec, ordinal_codes
 from .errors import DegenerateMargin, TooFewObservations
 
-#: Clamp for probability-scale outputs handed to copulas.
-EPS = 1e-10
-
 #: Cells (values x centres) of one block of a kernel margin evaluation.
 BLOCK_CELLS = 32768
-
-
-def _clamp(u):
-    return np.clip(u, EPS, 1.0 - EPS)
 
 
 def smoothed_level_probs(codes, levels: int) -> np.ndarray:
@@ -87,7 +81,7 @@ class KernelMargin:
         )
 
     def cdf(self, x):
-        return _clamp(self._kernel_mean(x, ndtr))
+        return _clip(self._kernel_mean(x, ndtr))
 
     def cdf_left(self, x):
         return self.cdf(x)
@@ -129,7 +123,7 @@ class EmpiricalMargin:
         return cls(xs, ranks / (n + 1.0))
 
     def cdf(self, x):
-        return _clamp(np.interp(np.asarray(x, dtype=float), self.knots_x, self.knots_p))
+        return _clip(np.interp(np.asarray(x, dtype=float), self.knots_x, self.knots_p))
 
     def cdf_left(self, x):
         return self.cdf(x)
@@ -179,12 +173,12 @@ class OrdinalMargin:
         return cls(smoothed_level_probs(ordinal_codes(values, levels), levels))
 
     def cdf(self, x):
-        return _clamp(self._cum[ordinal_codes(x, self.levels) - 1])
+        return _clip(self._cum[ordinal_codes(x, self.levels) - 1])
 
     def cdf_left(self, x):
         codes = ordinal_codes(x, self.levels)
         left = np.where(codes > 1, self._cum[np.maximum(codes - 2, 0)], 0.0)
-        return _clamp(left)
+        return _clip(left)
 
     def pdf(self, x):
         return self.probs[ordinal_codes(x, self.levels) - 1]

@@ -164,10 +164,21 @@ def _crossing_cells(p: np.ndarray) -> np.ndarray:
     return below & above
 
 
-def _adverse_index(model: ClassifierModel, adverse_class: Optional[int]) -> int:
-    if adverse_class is None:
-        adverse_class = model.classes[-1]
-    return model.class_index(adverse_class)
+def _grid_probs(
+    model: ClassifierModel, base: BaseProfile, grids: tuple, adverse_class: Optional[int]
+) -> np.ndarray:
+    """Adverse-class posterior at every point of the product of ``grids``
+    (one or two), one axis per grid, the other variables held at ``base``."""
+    for grid in grids:
+        grid.validate(model.schema)
+    row = base.row(model.schema)
+    mesh = np.meshgrid(*(grid.values for grid in grids), indexing="ij")
+    x = np.tile(row, (mesh[0].size, 1))
+    for grid, values in zip(grids, mesh):
+        x[:, model.schema.index_of(grid.variable)] = values.ravel()
+    adverse = model.classes[-1] if adverse_class is None else adverse_class
+    probs = posterior(model, x)[:, model.class_index(adverse)]
+    return probs.reshape(mesh[0].shape)
 
 
 def risk_curve(
@@ -177,14 +188,8 @@ def risk_curve(
     adverse_class: Optional[int] = None,
 ) -> RiskCurve:
     """Adverse-class posterior along one variable's grid, others held at base."""
-    grid.validate(model.schema)
-    row = base.row(model.schema)
-    j = model.schema.index_of(grid.variable)
-    values = grid.values
-    x = np.tile(row, (values.size, 1))
-    x[:, j] = values
-    probs = posterior(model, x)[:, _adverse_index(model, adverse_class)]
-    return RiskCurve(variable=grid.variable, values=values, probs=probs)
+    probs = _grid_probs(model, base, (grid,), adverse_class)
+    return RiskCurve(variable=grid.variable, values=grid.values, probs=probs)
 
 
 def risk_surface(
@@ -197,22 +202,10 @@ def risk_surface(
     """Adverse-class posterior over the product of two variable grids."""
     if grid1.variable == grid2.variable:
         raise ValueError("surface grids must use two distinct variables")
-    grid1.validate(model.schema)
-    grid2.validate(model.schema)
-    row = base.row(model.schema)
-    j1 = model.schema.index_of(grid1.variable)
-    j2 = model.schema.index_of(grid2.variable)
-    v1 = grid1.values
-    v2 = grid2.values
-    g1, g2 = np.meshgrid(v1, v2, indexing="ij")
-    x = np.tile(row, (g1.size, 1))
-    x[:, j1] = g1.ravel()
-    x[:, j2] = g2.ravel()
-    probs = posterior(model, x)[:, _adverse_index(model, adverse_class)]
     return RiskSurface(
         var1=grid1.variable,
         var2=grid2.variable,
-        values1=v1,
-        values2=v2,
-        probs=probs.reshape(v1.size, v2.size),
+        values1=grid1.values,
+        values2=grid2.values,
+        probs=_grid_probs(model, base, (grid1, grid2), adverse_class),
     )

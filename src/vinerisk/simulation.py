@@ -1,19 +1,21 @@
 """Synthetic benchmark: copula-generated classes vs a logistic baseline.
 
-Two data-generating processes are provided.  Both draw class 1 from a
-Frank copula (tau 0.5) and class 0 from a Gumbel copula (tau 0.9) on the
-unit square and push coordinate 1 through normal quantiles with
-class-specific means.  The continuous variant also maps coordinate 2
-through a normal quantile; the mixed variant maps it through a Poisson
-quantile and stores it as 1-based ordinal codes.
+Two data-generating processes are provided, both read from one generator
+table, :data:`CLASS_GENERATORS`.  Both draw class 1 from a Frank copula (tau
+0.5) and class 0 from a Gumbel copula (tau 0.9) on the unit square and push
+coordinate 1 through normal quantiles with class-specific means.  The
+continuous variant also maps coordinate 2 through a normal quantile; the
+mixed variant maps it through a Poisson quantile and stores it as 1-based
+ordinal codes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import expit, ndtri, pdtr, pdtrik
@@ -24,9 +26,26 @@ from .data import Dataset, Schema, VariableSpec
 from .errors import DegenerateLabels
 from .vine import FitConfig
 
-#: Sub-stream identifiers for seed splitting (order must never change).
-_STREAM_CLASS1 = 0
-_STREAM_CLASS0 = 1
+
+class ClassGenerator(NamedTuple):
+    """One class's row of :data:`CLASS_GENERATORS`."""
+
+    family: str
+    tau: float
+    x1_mean: float
+    stream: int
+
+
+#: The generator per class label, in row order: the copula family and its
+#: Kendall's tau, the mean of ``x1`` and the seed sub-stream the class draws
+#: from.  The sub-streams must never change, or every seed draws other data.
+CLASS_GENERATORS = {
+    1: ClassGenerator("frank", 0.5, -1.5, 0),
+    0: ClassGenerator("gumbel", 0.9, 0.0, 1),
+}
+
+#: Poisson mean of the mixed variant's ``x2`` counts.
+POISSON_MEAN = 2.0
 
 
 @dataclass(frozen=True)
@@ -37,23 +56,12 @@ class DgpConfig:
     n_train: int = 700  # per class
     n_test: int = 300  # per class
     seed: int = 0
-    tau_class1: float = 0.5
-    tau_class0: float = 0.9
-    mu1: float = -1.5
-    mu0: float = 0.0
-    mu_y: float = 0.0
-    sigma: float = 1.0
-    lam: float = 2.0
 
     def __post_init__(self):
         if self.variant not in ("continuous", "mixed"):
             raise ValueError("variant must be 'continuous' or 'mixed'")
         if self.n_train < 1 or self.n_test < 0:
             raise ValueError("split sizes must be positive")
-
-
-def _stream(seed: int, stream_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
 
 
 def poisson_quantile(q, lam: float) -> np.ndarray:
@@ -73,25 +81,20 @@ def simulate_dgp(cfg: DgpConfig) -> Dataset:
     :func:`split_train_test` can slice positionally.
     """
     n = cfg.n_train + cfg.n_test
-    frank = Bicop("frank", 0, tau_to_param("frank", cfg.tau_class1))
-    gumbel = Bicop("gumbel", 0, tau_to_param("gumbel", cfg.tau_class0))
-    u1 = frank.sample(n, _stream(cfg.seed, _STREAM_CLASS1))
-    u0 = gumbel.sample(n, _stream(cfg.seed, _STREAM_CLASS0))
-
-    x1 = np.concatenate(
-        [
-            ndtri(u1[:, 0]) * cfg.sigma + cfg.mu1,
-            ndtri(u0[:, 0]) * cfg.sigma + cfg.mu0,
-        ]
-    )
+    x1, v = [], []
+    for g in CLASS_GENERATORS.values():
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(g.stream,)))
+        u = Bicop(g.family, 0, tau_to_param(g.family, g.tau)).sample(n, rng)
+        x1.append(ndtri(u[:, 0]) + g.x1_mean)
+        v.append(u[:, 1])
+    x1, v = np.concatenate(x1), np.concatenate(v)
     if cfg.variant == "continuous":
-        x2 = np.concatenate([ndtri(u1[:, 1]), ndtri(u0[:, 1])]) * cfg.sigma + cfg.mu_y
+        x2 = ndtri(v)
         spec2 = VariableSpec("x2", "continuous")
     else:
-        counts = poisson_quantile(np.concatenate([u1[:, 1], u0[:, 1]]), cfg.lam)
-        x2 = counts + 1.0  # 1-based ordinal codes
+        x2 = poisson_quantile(v, POISSON_MEAN) + 1.0  # 1-based ordinal codes
         spec2 = VariableSpec("x2", "ordinal", levels=int(x2.max()))
-    labels = np.concatenate([np.ones(n, dtype=int), np.zeros(n, dtype=int)])
+    labels = np.concatenate([np.full(n, label) for label in CLASS_GENERATORS])
     schema = Schema(variables=[VariableSpec("x1", "continuous"), spec2], label="y")
     return Dataset(schema, np.column_stack([x1, x2]), labels=labels)
 
@@ -182,7 +185,7 @@ def fit_weighted_logistic(
 # benchmark harness
 # ---------------------------------------------------------------------------
 
-_ORACLE_FAMILIES = {1: ("frank",), 0: ("gumbel",)}
+_ORACLE_FAMILIES = {label: (g.family,) for label, g in CLASS_GENERATORS.items()}
 
 
 def _metric_rows(seed, method, mode, split, metrics) -> list[dict]:
@@ -224,6 +227,11 @@ def _grid_points(train: Dataset, points: int) -> np.ndarray:
     return np.column_stack([m1.ravel(), m2.ravel()])
 
 
+def _logistic_posterior(model: LogisticModel, x) -> np.ndarray:
+    p1 = model.predict(x)
+    return np.column_stack([1.0 - p1, p1])
+
+
 def benchmark_run(
     cfg: DgpConfig,
     seeds,
@@ -245,33 +253,24 @@ def benchmark_run(
         full = simulate_dgp(run_cfg)
         train, test = split_train_test(full, run_cfg)
         classes = [0, 1]
-        pos = classes.index(1)
 
+        # each fitted method's scorer: (n, 2) probabilities of classes 0 and 1
         logit = fit_weighted_logistic(train)
-        fitted = {("logistic", "plain"): None}
+        scorers = {("logistic", "plain"): functools.partial(_logistic_posterior, logit)}
         for mode in modes:
             families = _ORACLE_FAMILIES if mode == "oracle" else None
             model = fit_classifier(train, fit_config, class_families=families)
-            fitted[("copula", mode)] = model
+            scorers[("copula", mode)] = functools.partial(posterior, model)
 
-        for (method, mode), model in fitted.items():
+        for (method, mode), score in scorers.items():
             for split_name, ds in (("train", train), ("test", test)):
-                if method == "logistic":
-                    p1 = logit.predict(ds.x)
-                    probs = np.column_stack([1.0 - p1, p1])
-                else:
-                    probs = posterior(model, ds.x)
-                metrics = evaluate_probs(probs, ds.labels, classes)
+                metrics = evaluate_probs(score(ds.x), ds.labels, classes)
                 metric_rows.extend(
                     _metric_rows(seed, method, mode, split_name, metrics)
                 )
             if grid_points > 0 and seed == seeds[0]:
                 pts = _grid_points(train, grid_points)
-                if method == "logistic":
-                    p1 = logit.predict(pts)
-                else:
-                    p1 = posterior(model, pts)[:, pos]
-                for row, p in zip(pts, p1):
+                for row, p in zip(pts, score(pts)[:, 1]):
                     grid_rows.append(
                         {
                             "seed": seed,

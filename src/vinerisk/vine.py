@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bicop import (
+    CONTRIB_FLOOR,
     FAMILIES,
     INDEP,
     PairObs,
@@ -42,11 +43,10 @@ from .bicop import (
     empirical_tau,
     rotated_tau,
 )
+from .data import MIN_ROWS
 from .errors import TooFewObservations
 from .latent import partial_correlation
 from .margins import margin_from_dict
-
-DEFAULT_FAMILIES = ("indep", "gaussian", "studentt", "clayton", "gumbel", "frank", "joe")
 
 #: Candidates per edge that get the bounded MLE, the best-scoring at their
 #: tau-inversion start.  On simulated pairs of every family, rotation and
@@ -208,7 +208,7 @@ def select_structure(corr: np.ndarray) -> VineStructure:
 class FitConfig:
     """Knobs shared by vine and classifier fitting."""
 
-    families: Sequence[str] = DEFAULT_FAMILIES
+    families: Sequence[str] = FAMILIES
     psi0: float = 0.9
     truncation_search: str = "greedy"  # "greedy" or "full"
     indep_test_level: Optional[float] = 0.01
@@ -426,8 +426,8 @@ def fit_vine(
     config = config or FitConfig()
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    if n < 10:
-        raise TooFewObservations(f"vine fit needs at least 10 rows, got {n}")
+    if n < MIN_ROWS:
+        raise TooFewObservations(f"vine fit needs at least {MIN_ROWS} rows, got {n}")
     if d != structure.d or len(margins) != d:
         raise ValueError("margins/structure dimension mismatch")
     cols = _Columns(margins, _distinct_columns(x))
@@ -467,7 +467,7 @@ def vine_logdensity(model: VineModel, x: np.ndarray) -> np.ndarray:
     logf = np.zeros(x.shape[0])
     for m, (values, inverse) in zip(model.margins, distinct):
         dens = np.asarray(m.pdf(values), dtype=float)
-        logf += np.log(np.maximum(dens, 1e-300))[inverse]
+        logf += np.log(np.maximum(dens, CONTRIB_FLOOR))[inverse]
     cols = _Columns(model.margins, distinct)
     for fe in model.all_edges():
         contrib, u_given, v_given = bicop_condition(fe.bicop, cols.of(fe.edge))

@@ -33,6 +33,25 @@ def test_variable_spec_validation():
         VariableSpec("x", "continuous", levels=3)
 
 
+BAD_LEVELS = [3.9, 2.5, "3", True, False, float("nan"), float("inf"), None]
+
+
+@pytest.mark.parametrize("levels", BAD_LEVELS, ids=repr)
+def test_ordinal_levels_must_be_a_whole_number(levels):
+    with pytest.raises(SchemaError, match="whole number of levels"):
+        VariableSpec("o", "ordinal", levels=levels)
+    with pytest.raises(SchemaError, match="whole number of levels"):
+        Schema.from_dict({"variables": [{"name": "o", "kind": "ordinal", "levels": levels}]})
+
+
+@pytest.mark.parametrize("levels", [3, 3.0, np.int64(3), np.float64(3.0)], ids=repr)
+def test_ordinal_levels_are_stored_as_int(levels):
+    assert type(VariableSpec("o", "ordinal", levels=levels).levels) is int
+    schema = Schema.from_dict({"variables": [{"name": "o", "kind": "ordinal", "levels": levels}]})
+    assert schema.variables[0].levels == 3
+    assert type(schema.variables[0].levels) is int
+
+
 def test_schema_rejects_duplicates_and_collisions():
     v = VariableSpec("a", "continuous")
     with pytest.raises(SchemaError):
@@ -107,6 +126,19 @@ def test_load_errors(tmp_path, schema):
     p.write_text("bmi,bloodloss,y,nights\n22,,0,1\n")
     with pytest.raises(MissingValue, match="row 1"):
         load_dataset(p, schema)
+
+
+def test_load_rejects_a_read_column_repeated_in_the_header(tmp_path, schema):
+    p = tmp_path / "dup.csv"
+    p.write_text("bmi,bloodloss,bmi,y,nights\n22,1,23,0,1\n")
+    with pytest.raises(SchemaError, match="'bmi'"):
+        load_dataset(p, schema)
+    p.write_text("bmi,bloodloss,y,nights,y\n22,1,0,1,1\n")
+    with pytest.raises(SchemaError, match="'y'"):
+        load_dataset(p, schema)
+    # a repeated column the schema does not read is ignored
+    p.write_text("bmi,extra,bloodloss,extra,y,nights\n22,5,1,6,0,1\n")
+    assert load_dataset(p, schema).x.tolist() == [[22.0, 1.0]]
 
 
 def test_unlabeled_schema(tmp_path):

@@ -5,6 +5,7 @@ from scipy import stats
 
 from vinerisk.errors import DegenerateLabels
 from vinerisk.simulation import (
+    POISSON_MEAN,
     DgpConfig,
     LogisticModel,
     benchmark_run,
@@ -63,8 +64,8 @@ class TestDgp:
         spec = ds.schema.variables[1]
         assert spec.kind == "ordinal"
         assert spec.levels == int(codes.max())
-        # codes are 1-based Poisson counts, so their mean sits near lam + 1
-        assert abs(codes.mean() - (cfg.lam + 1.0)) < 0.1
+        # codes are 1-based Poisson counts, so their mean sits near POISSON_MEAN + 1
+        assert abs(codes.mean() - (POISSON_MEAN + 1.0)) < 0.1
 
     def test_split_is_positional(self):
         cfg = DgpConfig(n_train=30, n_test=10, seed=5)
