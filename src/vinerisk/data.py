@@ -130,10 +130,11 @@ class Schema:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Schema":
-        try:
-            raw = obj["variables"]
-        except KeyError:
-            raise SchemaError("schema JSON lacks a 'variables' list") from None
+        raw = obj.get("variables") if isinstance(obj, dict) else None
+        if not isinstance(raw, list) or not all(
+            isinstance(e, dict) and {"name", "kind"} <= e.keys() for e in raw
+        ):
+            raise SchemaError("schema 'variables' must be a list of objects with name and kind")
         variables = tuple(
             VariableSpec(
                 name=str(entry["name"]),

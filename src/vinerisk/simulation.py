@@ -186,6 +186,8 @@ def fit_weighted_logistic(
 # ---------------------------------------------------------------------------
 
 _ORACLE_FAMILIES = {label: (g.family,) for label, g in CLASS_GENERATORS.items()}
+#: copula fits of :func:`benchmark_run`: generating families only, or full selection
+MODES = ("oracle", "mbic")
 
 
 def _metric_rows(seed, method, mode, split, metrics) -> list[dict]:
@@ -236,7 +238,7 @@ def benchmark_run(
     cfg: DgpConfig,
     seeds,
     fit_config: Optional[FitConfig] = None,
-    modes: tuple = ("oracle", "mbic"),
+    modes: tuple = MODES,
     grid_points: int = 0,
 ) -> tuple[list[dict], list[dict]]:
     """Train both methods per seed on identical splits and score both splits.
@@ -245,6 +247,9 @@ def benchmark_run(
     when ``grid_points`` > 0, class-1 probability grids (first seed only)
     for decision-boundary plots.
     """
+    unknown = sorted(set(modes) - set(MODES))
+    if unknown:
+        raise ValueError(f"unknown benchmark modes {unknown}; choose from {', '.join(MODES)}")
     fit_config = fit_config or FitConfig()
     metric_rows: list[dict] = []
     grid_rows: list[dict] = []

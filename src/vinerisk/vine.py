@@ -50,8 +50,8 @@ from .margins import margin_from_dict
 
 #: Candidates per edge that get the bounded MLE, the best-scoring at their
 #: tau-inversion start.  On simulated pairs of every family, rotation and
-#: kind of margin, the full search's winner ranked 4th at most (aside from
-#: two binary sides, where the one-parameter families tie).
+#: kind of margin, the full search's winner ranked 4th at most.  Two binary
+#: sides are never screened: they have one candidate (:func:`_edge_candidates`).
 SCREEN_KEEP = 4
 
 
@@ -306,13 +306,15 @@ class _Columns:
         self._cols[(b, edge.conditioning | {a})] = v_given
 
 
-def _edge_candidates(families, rotation_tau: float, any_discrete: bool):
+def _edge_candidates(families, rotation_tau: float, any_discrete: bool, binary: bool):
     """Family/rotation combinations admissible for an edge.
 
     The rotatable families have positive-dependence base forms, so only
     the rotations that give the empirical tau's sign are tried; the other
     families cover both signs unrotated.  The Student-t is reserved for
-    fully continuous pairs.
+    fully continuous pairs.  Two binary sides get only the first admissible
+    candidate (under the default families the Gaussian: the tetrachoric
+    correlation), since every one-parameter family fits their 2 x 2 table.
     """
     out = []
     for fam in families:
@@ -322,7 +324,7 @@ def _edge_candidates(families, rotation_tau: float, any_discrete: bool):
             out.extend((fam, rot) for rot in ROTATIONS if rotated_tau(rotation_tau, rot) >= 0.0)
         else:
             out.append((fam, 0))
-    return out
+    return out[:1] if binary else out
 
 
 def _fit_edge(
@@ -339,6 +341,10 @@ def _fit_edge(
     loglik is the maximum ``bicop_fit`` returns, net of any discrete side's
     masses, so independence contributes zero and deviances stay comparable
     across continuous, mixed and discrete pairs.
+
+    A side is binary when it is discrete with at most two distinct ``plus``
+    values; a side conditioned through an earlier independence edge can show
+    three after rounding and is not.  Two binary sides get one fit.
     """
     indep_ll = bicop_loglik(INDEP, obs)
     indep_score = -2.0 * indep_ll + edge_penalty(level, 0, n, config.psi0, True)
@@ -351,8 +357,10 @@ def _fit_edge(
     def score(cop, ll):
         return -2.0 * ll + edge_penalty(level, cop.npar, n, config.psi0, False)
 
+    sides = (obs.u_plus, obs.v_plus)
+    binary = obs.u_disc and obs.v_disc and all(np.unique(s).size <= 2 for s in sides)
     starts = []
-    for fam, rot in _edge_candidates(config.families, tau_emp, obs.u_disc or obs.v_disc):
+    for fam, rot in _edge_candidates(config.families, tau_emp, obs.u_disc or obs.v_disc, binary):
         try:
             starts.append(bicop_start(fam, rot, obs, tau_emp))
         except (ValueError, FloatingPointError):

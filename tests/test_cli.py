@@ -475,6 +475,18 @@ class TestBenchmark:
             "variant", "seed", "method", "mode", "split", "metric", "value"
         }
 
+    def test_unknown_mode_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code, _, err = _run(
+            capsys, "benchmark", "--variant", "continuous", "--seeds", "0",
+            "--n-train", "40", "--n-test", "0", "--modes", "oracle,typo",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:ValueError:") and "typo" in err
+        assert err.strip().count("\n") == 0
+        assert not out.exists()
+
     def test_grid_output(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         grid_out = tmp_path / "grid.csv"
@@ -532,6 +544,18 @@ class TestConfigAndErrors:
         )
         assert code == 1
         assert err.startswith("error:")
+        assert err.strip().count("\n") == 0
+
+    def test_schema_of_the_wrong_shape_is_one_error_line(self, workspace, capsys):
+        schema = workspace["dir"] / "object.json"
+        schema.write_text(json.dumps({"variables": {"x1": "continuous"}}))
+        code, _, err = _run(
+            capsys, "fit", "--seed", "0",
+            "--data", str(workspace["data"]), "--schema", str(schema),
+            "--out", str(workspace["dir"] / "m.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:SchemaError:")
         assert err.strip().count("\n") == 0
 
     def test_bad_workers(self, tmp_path, capsys):

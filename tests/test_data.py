@@ -52,6 +52,21 @@ def test_ordinal_levels_are_stored_as_int(levels):
     assert type(schema.variables[0].levels) is int
 
 
+BAD_SHAPES = {
+    "variables-as-object": {"variables": {"x1": "continuous"}},
+    "top-level-list": [{"name": "x1", "kind": "continuous"}],
+    "variables-as-names": {"variables": ["x1"]},
+    "entry-without-name": {"variables": [{"kind": "continuous"}]},
+    "entry-without-kind": {"variables": [{"name": "x1"}]},
+}
+
+
+@pytest.mark.parametrize("obj", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+def test_schema_of_the_wrong_shape_is_a_schema_error(obj):
+    with pytest.raises(SchemaError, match="'variables' must be a list of objects"):
+        Schema.from_dict(obj)
+
+
 def test_schema_rejects_duplicates_and_collisions():
     v = VariableSpec("a", "continuous")
     with pytest.raises(SchemaError):

@@ -179,6 +179,11 @@ class TestBenchmark:
         metrics = {r["metric"] for r in rows_a}
         assert {"nll_sum", "nll_mean", "auc", "nll_class0", "brier_class1"} <= metrics
 
+    def test_unknown_mode_is_rejected_before_fitting(self):
+        cfg = DgpConfig(n_train=60, n_test=0, seed=0)
+        with pytest.raises(ValueError, match="typo"):
+            benchmark_run(cfg, seeds=[0], modes=("oracle", "typo"))
+
     def test_grid_rows_limited_to_first_seed(self):
         cfg = DgpConfig(n_train=60, n_test=0, seed=0)
         _, grid = benchmark_run(

@@ -10,6 +10,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr, ndtri, roots_legendre
 
 from vinerisk import bicop as bicop_module
+from vinerisk import optim as optim_module
 from vinerisk import vine as vine_module
 from vinerisk.bicop import (
     INDEP,
@@ -392,7 +393,7 @@ def _full_search(obs, level, n, config):
     tau = empirical_tau(obs)
     if tau_independence_pvalue(tau, obs.n) >= config.indep_test_level:
         return best
-    for fam, rot in _edge_candidates(config.families, tau, obs.u_disc or obs.v_disc):
+    for fam, rot in _edge_candidates(config.families, tau, obs.u_disc or obs.v_disc, False):
         try:
             cop, ll = bicop_fit(fam, rot, obs, tau=tau)
         except (ValueError, FloatingPointError):
@@ -504,6 +505,101 @@ class TestCandidateScreen:
         for e in edges:
             assert e["fits"] == min(len(e["starts"]), vine_module.SCREEN_KEEP)
             assert all(e["evals"][cop] == 1 for cop in e["starts"])
+
+
+def _latent_pair(rho, n, seed, cuts=((0.0,), (0.0,)), continuous_v=False):
+    """``n`` draws of a latent Gaussian with correlation ``rho``, each side
+    cut into ordinal codes at ``cuts`` (``v`` kept continuous when asked),
+    on the copula scale of the margins :func:`fit_vine` would fit."""
+    z = np.random.default_rng(seed).multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=n)
+    sides = []
+    for j, cut in enumerate(cuts):
+        if j == 1 and continuous_v:
+            sides.append((ndtr(z[:, 1]), None))
+            continue
+        codes = np.digitize(z[:, j], cut) + 1.0
+        margin = OrdinalMargin.fit(codes, len(cut) + 1)
+        sides.append((margin.cdf(codes), margin.cdf_left(codes)))
+    (up, um), (vp, vm) = sides
+    return PairObs(up, vp, um, vm, u_disc=True, v_disc=vm is not None)
+
+
+def _counting_fits(monkeypatch):
+    """Replace ``vine.bicop_fit`` by a wrapper that records each fitted family."""
+    fitted, fit = [], vine_module.bicop_fit
+
+    def counting_fit(family, rotation, obs, **kwargs):
+        fitted.append(family)
+        return fit(family, rotation, obs, **kwargs)
+
+    monkeypatch.setattr(vine_module, "bicop_fit", counting_fit)
+    return fitted
+
+
+def _cell_probability(cop, obs):
+    """C(F_u(1), F_v(1)): the fitted probability that both sides take code 1."""
+    return float(cop.cdf(obs.u_plus.min(), obs.v_plus.min()))
+
+
+_BINARY_CASES = [
+    (rho, cuts, seed)
+    for seed, rho in enumerate((-0.85, -0.5, -0.12, 0.08, 0.3, 0.6, 0.9))
+    for cuts in (((0.0,), (0.0,)), ((-1.0,), (0.7,)), ((0.9,), (-0.4,)))
+]
+
+
+class TestBinaryEdges:
+    @pytest.mark.parametrize("rho", [-0.6, 0.5])
+    def test_two_binary_sides_get_one_gaussian_fit(self, monkeypatch, rho):
+        fitted = _counting_fits(monkeypatch)
+        cop, _, _ = _fit_edge(_latent_pair(rho, 700, seed=1), 1, 700, FitConfig())
+        assert cop.family == "gaussian"
+        assert fitted == ["gaussian"]
+
+    @pytest.mark.parametrize("rho,cuts,seed", _BINARY_CASES)
+    def test_one_fit_reaches_the_full_search(self, rho, cuts, seed):
+        obs = _latent_pair(rho, 700, seed, cuts)
+        config = FitConfig()
+        got, full = _fit_edge(obs, 1, 700, config), _full_search(obs, 1, 700, config)
+        assert (got[0].family == "indep") == (full[0].family == "indep")
+        assert abs(got[1] - full[1]) < 1e-7
+        assert abs(_cell_probability(got[0], obs) - _cell_probability(full[0], obs)) < 1e-6
+
+    def test_the_family_does_not_follow_the_optimiser_tolerance(self, monkeypatch):
+        obs = _latent_pair(0.5, 700, seed=2, cuts=((-0.3,), (0.4,)))
+        before = _fit_edge(obs, 1, 700, FitConfig())[0]
+        monkeypatch.setattr(optim_module, "XATOL", 1e-7)
+        after = _fit_edge(obs, 1, 700, FitConfig())[0]
+        assert (after.family, after.rotation) == (before.family, before.rotation)
+
+    def test_the_first_admissible_candidate_is_kept(self):
+        families = ("indep", "clayton", "gaussian")
+        assert _edge_candidates(families, -0.3, True, True) == [("clayton", 90)]
+        assert _edge_candidates(families, -0.3, True, False) == [
+            ("clayton", 90), ("clayton", 270), ("gaussian", 0)
+        ]
+
+    def test_a_five_level_column_with_two_observed_codes_is_binary(self, monkeypatch):
+        obs = _latent_pair(0.6, 700, seed=3)
+        codes = np.where(obs.v_plus == obs.v_plus.min(), 2.0, 4.0)
+        margin = OrdinalMargin.fit(codes, 5)
+        v_plus, v_minus = margin.cdf(codes), margin.cdf_left(codes)
+        obs = PairObs(obs.u_plus, v_plus, obs.u_minus, v_minus, u_disc=True, v_disc=True)
+        fitted = _counting_fits(monkeypatch)
+        _fit_edge(obs, 1, 700, FitConfig())
+        assert fitted == ["gaussian"]
+
+    @pytest.mark.parametrize(
+        "cuts,continuous_v",
+        [(((0.0,), (-0.5, 0.5)), False), (((0.0,), (0.0,)), True)],
+        ids=["binary-x-three-levels", "binary-x-continuous"],
+    )
+    def test_other_pairs_keep_the_screen(self, monkeypatch, cuts, continuous_v):
+        obs = _latent_pair(0.6, 700, seed=4, cuts=cuts, continuous_v=continuous_v)
+        fitted = _counting_fits(monkeypatch)
+        config = FitConfig()
+        assert _fit_edge(obs, 1, 700, config) == _full_search(obs, 1, 700, config)
+        assert len(fitted) == vine_module.SCREEN_KEEP
 
 
 class TestCriterionValue:
