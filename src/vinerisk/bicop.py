@@ -855,11 +855,15 @@ def bicop_condition(cop: Bicop, obs: PairObs) -> tuple:
     (Panagiotelis, Czado & Joe 2012).  Each is ``(plus, minus)`` clipped
     into [EPS, 1 - EPS], ``minus`` capped at ``plus`` for a discrete side
     and None for a continuous one.  Each copula term is evaluated once.
+    An independence edge hands both sides on as they came: ``u | v = u``.
     """
     contrib, terms = _likelihood(cop, obs)
     up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
     mass_u, mass_v = obs.masses
-    if obs.u_disc and obs.v_disc:
+    if cop.family == "indep":
+        u_given = up, um if obs.u_disc else None
+        v_given = vp, vm if obs.v_disc else None
+    elif obs.u_disc and obs.v_disc:
         cpp, cpm, cmp_, cmm = terms
         u_given = (cpp - cpm) / mass_v, (cmp_ - cmm) / mass_v
         v_given = (cpp - cmp_) / mass_u, (cpm - cmm) / mass_u

@@ -12,8 +12,8 @@ Ordinal codes pass :func:`~vinerisk.data.ordinal_codes` first, so a code
 outside ``1..levels`` raises OrdinalOutOfRange instead of shifting the
 thresholds.
 The assembled matrix is repaired to positive definiteness by eigenvalue
-clipping, and partial correlations are obtained with the standard
-recursion.
+clipping, and partial correlations are read off the inverse of its
+principal sub-matrices.
 """
 
 from __future__ import annotations
@@ -152,39 +152,25 @@ def latent_correlation_matrix(ds: Dataset) -> np.ndarray:
 
 
 def partial_correlation(m, a: int, b: int, conditioning=()) -> float:
-    """Partial correlation of variables ``a`` and ``b`` given a set, by the
-    recursive elimination identity.
+    """Partial correlation of variables ``a`` and ``b`` given a set:
+    ``-P[0, 1] / sqrt(P[0, 0] P[1, 1])``, where ``P`` is the inverse of
+    ``m`` restricted to ``[a, b, *sorted(conditioning)]``.  With an empty
+    set it is the plain entry ``m[a, b]``.
 
     Raises
     ------
     NearSingular
-        If an intermediate correlation is within ``1e-6`` of +/-1.
+        If that sub-matrix has an eigenvalue below ``PROB_FLOOR``.  A matrix
+        from :func:`latent_correlation_matrix` never does: its eigenvalues
+        are at least ``EIG_FLOOR``, and by Cauchy interlacing so are those of
+        each principal sub-matrix.
     """
     m = np.asarray(m, dtype=float)
-    memo = {}
-
-    def rec(i, j, cond):
-        if i > j:
-            i, j = j, i
-        key = (i, j, cond)
-        if key in memo:
-            return memo[key]
-        if not cond:
-            val = m[i, j]
-        else:
-            k = cond[-1]
-            rest = cond[:-1]
-            r_ij = rec(i, j, rest)
-            r_ik = rec(i, k, rest)
-            r_jk = rec(j, k, rest)
-            da = 1.0 - r_ik * r_ik
-            db = 1.0 - r_jk * r_jk
-            if da < PROB_FLOOR or db < PROB_FLOOR:
-                raise NearSingular(
-                    f"partial correlation given {cond} has |rho| too close to 1"
-                )
-            val = (r_ij - r_ik * r_jk) / math.sqrt(da * db)
-        memo[key] = val
-        return val
-
-    return float(rec(int(a), int(b), tuple(sorted(int(c) for c in conditioning))))
+    if not conditioning:
+        return float(m[a, b])
+    idx = [a, b, *sorted(conditioning)]
+    sub = m[np.ix_(idx, idx)]
+    if np.linalg.eigvalsh(sub)[0] < PROB_FLOOR:
+        raise NearSingular(f"correlations of {idx} are singular")
+    p = np.linalg.inv(sub)
+    return float(-p[0, 1] / math.sqrt(p[0, 0] * p[1, 1]))

@@ -86,6 +86,13 @@ class Edge:
             return f"{base};{fmt(self.conditioning)}"
         return base
 
+    def to_dict(self) -> dict:
+        return {"conditioned": list(self.conditioned), "conditioning": sorted(self.conditioning)}
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "Edge":
+        return cls(tuple(obj["conditioned"]), frozenset(obj["conditioning"]))
+
 
 @dataclass
 class VineStructure:
@@ -95,48 +102,12 @@ class VineStructure:
     trees: list[list[Edge]]
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "trees": [
-                [
-                    {
-                        "conditioned": list(e.conditioned),
-                        "conditioning": sorted(e.conditioning),
-                    }
-                    for e in tree
-                ]
-                for tree in self.trees
-            ],
-        }
+        return {"d": self.d, "trees": [[e.to_dict() for e in tree] for tree in self.trees]}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "VineStructure":
-        trees = [
-            [
-                Edge(tuple(e["conditioned"]), frozenset(e["conditioning"]))
-                for e in tree
-            ]
-            for tree in obj["trees"]
-        ]
+        trees = [[Edge.from_dict(e) for e in tree] for tree in obj["trees"]]
         return cls(d=int(obj["d"]), trees=trees)
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[ri] = rj
-        return True
 
 
 @dataclass(frozen=True)
@@ -151,8 +122,11 @@ class _Node:
 def select_structure(corr: np.ndarray) -> VineStructure:
     """Maximum spanning tree per level on absolute (partial) correlations.
 
-    Tie-breaks are deterministic: among equal weights the lexicographically
-    smallest conditioned pair (then conditioning set) wins.
+    Each tree is grown by Prim's cut over the candidates sorted by
+    ``(-|weight|, conditioned pair, conditioning set)``.  These keys are
+    distinct, so the maximum spanning tree under that order is unique:
+    among equal weights the lexicographically smallest conditioned pair
+    (then conditioning set) wins.
     """
     corr = np.asarray(corr, dtype=float)
     d = corr.shape[0]
@@ -166,36 +140,22 @@ def select_structure(corr: np.ndarray) -> VineStructure:
                 ni, nj = nodes[i], nodes[j]
                 if level > 1 and not set(ni.ends) & set(nj.ends):
                     continue
+                # two single variables, or (proximity) two edges sharing a
+                # node: either way exactly two variables are conditioned
                 conditioning = ni.vars & nj.vars
                 conditioned = tuple(sorted(ni.vars ^ nj.vars))
-                if len(conditioned) != 2:
-                    continue
-                weight = abs(
-                    partial_correlation(corr, conditioned[0], conditioned[1], conditioning)
-                )
-                candidates.append(
-                    (
-                        -weight,
-                        conditioned,
-                        tuple(sorted(conditioning)),
-                        i,
-                        j,
-                    )
-                )
+                weight = abs(partial_correlation(corr, *conditioned, conditioning))
+                candidates.append((-weight, conditioned, tuple(sorted(conditioning)), i, j))
         candidates.sort()
-        uf = _UnionFind(len(nodes))
-        chosen = []
-        for _, conditioned, conditioning, i, j in candidates:
-            if uf.union(i, j):
-                chosen.append((conditioned, frozenset(conditioning), i, j))
-            if len(chosen) == len(nodes) - 1:
-                break
+        # the previous tree's line graph is connected, so the cut never runs dry
+        inside, chosen = {0}, []
+        while len(inside) < len(nodes):
+            _, cd, cg, i, j = next(c for c in candidates if (c[3] in inside) != (c[4] in inside))
+            inside |= {i, j}
+            chosen.append((cd, frozenset(cg), i, j))
         chosen.sort(key=lambda c: (c[0], tuple(sorted(c[1]))))
-        tree = [Edge(cd, cg) for cd, cg, _, _ in chosen]
-        trees.append(tree)
-        nodes = [
-            _Node(vars=Edge(cd, cg).all_vars, ends=(i, j)) for cd, cg, i, j in chosen
-        ]
+        trees.append([Edge(cd, cg) for cd, cg, _, _ in chosen])
+        nodes = [_Node(vars=Edge(cd, cg).all_vars, ends=(i, j)) for cd, cg, i, j in chosen]
     return VineStructure(d=d, trees=trees)
 
 
@@ -256,8 +216,7 @@ class FittedEdge:
 
     def to_dict(self) -> dict:
         return {
-            "conditioned": list(self.edge.conditioned),
-            "conditioning": sorted(self.edge.conditioning),
+            **self.edge.to_dict(),
             "bicop": self.bicop.to_dict(),
             "loglik": self.loglik,
             "score": self.score,
@@ -266,7 +225,7 @@ class FittedEdge:
     @classmethod
     def from_dict(cls, obj: dict) -> "FittedEdge":
         return cls(
-            edge=Edge(tuple(obj["conditioned"]), frozenset(obj["conditioning"])),
+            edge=Edge.from_dict(obj),
             bicop=Bicop.from_dict(obj["bicop"]),
             loglik=float(obj["loglik"]),
             score=float(obj["score"]),
@@ -343,8 +302,7 @@ def _fit_edge(
     across continuous, mixed and discrete pairs.
 
     A side is binary when it is discrete with at most two distinct ``plus``
-    values; a side conditioned through an earlier independence edge can show
-    three after rounding and is not.  Two binary sides get one fit.
+    values.  Two binary sides get one fit.
     """
     indep_ll = bicop_loglik(INDEP, obs)
     indep_score = -2.0 * indep_ll + edge_penalty(level, 0, n, config.psi0, True)

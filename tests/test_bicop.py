@@ -35,6 +35,7 @@ from vinerisk.bicop import (
     _newton_hinv,
 )
 from vinerisk.errors import NoConvergence
+from vinerisk.margins import OrdinalMargin
 
 ALL_COMBOS = [("gaussian", 0), ("studentt", 0), ("frank", 0)] + [
     (f, r) for f in ROTATABLE for r in (0, 90, 180, 270)
@@ -1063,6 +1064,43 @@ def test_condition_evaluates_each_copula_term_once(monkeypatch, u_disc, v_disc, 
     )
     bicop_condition(make("gumbel", 0, 0.5), obs)
     assert counts == calls
+
+
+@pytest.mark.parametrize("u_disc,v_disc", [(False, False), (True, False), (False, True), (True, True)])
+def test_independence_hands_each_side_on_unchanged(u_disc, v_disc):
+    (up, ulo), (vp, vlo) = _oracle_columns()
+    obs = PairObs(
+        u_plus=up,
+        v_plus=vp,
+        u_minus=ulo if u_disc else None,
+        v_minus=vlo if v_disc else None,
+        u_disc=u_disc,
+        v_disc=v_disc,
+    )
+    contrib, u_given, v_given = bicop_condition(INDEP, obs)
+    assert_array_equal(contrib, bicop_contributions(INDEP, obs))
+    for (plus, minus), side_plus, side_minus, disc in (
+        (u_given, obs.u_plus, obs.u_minus, u_disc),
+        (v_given, obs.v_plus, obs.v_minus, v_disc),
+    ):
+        assert_array_equal(plus, side_plus)
+        if disc:
+            assert_array_equal(minus, side_minus)
+        else:
+            assert minus is None
+
+
+def test_independence_keeps_a_binary_side_binary():
+    # a binary x 3-level pair: dividing C differences by the masses used to
+    # spread the binary side's two values over four
+    z = np.random.default_rng(0).standard_normal((500, 2))
+    a = np.digitize(z[:, 0], [0.0]) + 1.0
+    b = np.digitize(z[:, 1], [-0.5, 0.5]) + 1.0
+    ma, mb = OrdinalMargin.fit(a, 2), OrdinalMargin.fit(b, 3)
+    obs = PairObs(ma.cdf(a), mb.cdf(b), ma.cdf_left(a), mb.cdf_left(b), u_disc=True, v_disc=True)
+    _, (up, um), (vp, vm) = bicop_condition(INDEP, obs)
+    assert np.unique(up).size == np.unique(um).size == 2
+    assert np.unique(vp).size == np.unique(vm).size == 3
 
 
 @pytest.mark.parametrize("family,rotation", ALL_COMBOS + [("indep", 0)])

@@ -113,18 +113,49 @@ def test_latent_matrix_shape_and_diagonal():
     assert abs(m[0, 1] - 0.6) < 0.1 and abs(m[0, 2] - 0.3) < 0.1
 
 
+def _recursive_partial_correlation(m, a, b, conditioning):
+    """Reference: the elimination identity applied recursively, the last
+    conditioning variable first."""
+    if not conditioning:
+        return m[a, b]
+    *rest, k = sorted(conditioning)
+    r_ab = _recursive_partial_correlation(m, a, b, rest)
+    r_ak = _recursive_partial_correlation(m, a, k, rest)
+    r_bk = _recursive_partial_correlation(m, b, k, rest)
+    return (r_ab - r_ak * r_bk) / np.sqrt((1.0 - r_ak**2) * (1.0 - r_bk**2))
+
+
+def _schur_partial_correlation(m, a, b, conditioning):
+    """Reference: the correlation of the Schur complement
+    ``R_ab - R_aS R_SS^-1 R_Sb`` of the conditioning block."""
+    s = sorted(conditioning)
+    pair = [a, b]
+    cond = m[np.ix_(pair, pair)] - m[np.ix_(pair, s)] @ np.linalg.solve(
+        m[np.ix_(s, s)], m[np.ix_(s, pair)]
+    )
+    return cond[0, 1] / np.sqrt(cond[0, 0] * cond[1, 1])
+
+
+def _random_correlation(d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    s = a @ a.T + d * np.eye(d)
+    sd = np.sqrt(np.diag(s))
+    return s / np.outer(sd, sd)
+
+
 class TestPartialCorrelation:
     def test_against_precision_matrix(self):
-        # full-order partial correlation from the inverse correlation matrix
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((5, 5))
-        s = a @ a.T + 5 * np.eye(5)
-        d = np.sqrt(np.diag(s))
-        r = s / np.outer(d, d)
-        p = np.linalg.inv(r)
-        oracle = -p[0, 1] / np.sqrt(p[0, 0] * p[1, 1])
-        got = partial_correlation(r, 0, 1, frozenset({2, 3, 4}))
-        assert_allclose(got, oracle, atol=1e-12)
+        # the precision-matrix form against two independent formulas, orders 0-4
+        for seed in range(4):
+            r = _random_correlation(6, seed)
+            for order in range(5):
+                cond = frozenset(range(2, 2 + order))
+                got = partial_correlation(r, 0, 1, cond)
+                assert_allclose(got, _schur_partial_correlation(r, 0, 1, cond), atol=1e-14)
+                assert_allclose(got, _recursive_partial_correlation(r, 0, 1, cond), atol=1e-14)
+                # the pair's order and the order of the set do not matter
+                assert_allclose(partial_correlation(r, 1, 0, cond), got, atol=1e-15)
 
     def test_first_order_formula(self):
         r = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.4], [0.3, 0.4, 1.0]])
@@ -139,3 +170,25 @@ class TestPartialCorrelation:
         r = np.array([[1.0, 1.0 - 1e-14, 0.2], [1.0 - 1e-14, 1.0, 0.2], [0.2, 0.2, 1.0]])
         with pytest.raises(NearSingular):
             partial_correlation(r, 0, 2, frozenset({1}))
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_singular_sub_matrix_raises(self, d):
+        # equicorrelation -1/(d-1) has a zero eigenvalue (-2.5e-16 in floating
+        # point at d = 6), which the recursion never checked
+        r = np.full((d, d), -1.0 / (d - 1))
+        np.fill_diagonal(r, 1.0)
+        with pytest.raises(NearSingular):
+            partial_correlation(r, 0, 1, frozenset(range(2, d)))
+        # one variable fewer is regular: rho / (1 + (d - 3) rho) = -1/2
+        assert_allclose(partial_correlation(r, 0, 1, frozenset(range(2, d - 1))), -0.5, atol=1e-12)
+
+    def test_repaired_matrices_never_raise(self):
+        # eigenvalues clipped at EIG_FLOOR bound every principal sub-matrix's
+        u = np.random.default_rng(3).uniform(-0.9, 0.9, (7, 7))
+        r = np.triu(u, 1) + np.triu(u, 1).T + np.eye(7)
+        assert np.linalg.eigvalsh(r)[0] < 0.0
+        r = make_positive_definite(r)
+        for a in range(7):
+            for b in range(a + 1, 7):
+                rest = frozenset(range(7)) - {a, b}
+                assert abs(partial_correlation(r, a, b, rest)) < 1.0

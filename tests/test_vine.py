@@ -24,6 +24,7 @@ from vinerisk.bicop import (
     tau_to_param,
 )
 from vinerisk.errors import TooFewObservations
+from vinerisk.latent import partial_correlation
 from vinerisk.classifier import ClassifierModel, posterior
 from vinerisk.data import Schema, VariableSpec
 from vinerisk.margins import EmpiricalMargin, KernelMargin, OrdinalMargin
@@ -77,6 +78,65 @@ class TestEdge:
     def test_all_vars(self):
         e = Edge((0, 3), frozenset({1, 2}))
         assert e.all_vars == frozenset({0, 1, 2, 3})
+
+
+def _kruskal_structure(corr):
+    """Reference: each tree by Kruskal's algorithm with a union-find over
+    the same sorted candidates."""
+    d = corr.shape[0]
+    trees = []
+    nodes = [(frozenset([j]), (j,)) for j in range(d)]
+    for level in range(1, d):
+        candidates = []
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                (vi, ei), (vj, ej) = nodes[i], nodes[j]
+                if level > 1 and not set(ei) & set(ej):
+                    continue
+                cg = vi & vj
+                cd = tuple(sorted(vi ^ vj))
+                weight = abs(partial_correlation(corr, cd[0], cd[1], cg))
+                candidates.append((-weight, cd, tuple(sorted(cg)), i, j))
+        candidates.sort()
+        parent = list(range(len(nodes)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        chosen = []
+        for _, cd, cg, i, j in candidates:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+                chosen.append((cd, frozenset(cg), i, j))
+        chosen.sort(key=lambda c: (c[0], tuple(sorted(c[1]))))
+        trees.append([Edge(cd, cg) for cd, cg, _, _ in chosen])
+        nodes = [(Edge(cd, cg).all_vars, (i, j)) for cd, cg, i, j in chosen]
+    return VineStructure(d=d, trees=trees)
+
+
+def _structure_matrices():
+    """Random, rounded (to 0.1, so weights tie) and equicorrelation matrices."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for d in range(2, 11):
+        for _ in range(3):
+            a = rng.standard_normal((d, d))
+            cov = a @ a.T + rng.uniform(0.1, d) * np.eye(d)
+            sd = np.sqrt(np.diag(cov))
+            cases.append(pytest.param(cov / np.outer(sd, sd), id=f"random-{d}"))
+            cov = a @ a.T + d * np.eye(d)
+            sd = np.sqrt(np.diag(cov))
+            rounded = np.round(cov / np.outer(sd, sd), 1)
+            np.fill_diagonal(rounded, 1.0)
+            cases.append(pytest.param(rounded, id=f"rounded-{d}"))
+        for rho in (-0.5 / (d - 1), 0.0, 0.3, 0.8):
+            equi = np.full((d, d), rho)
+            np.fill_diagonal(equi, 1.0)
+            cases.append(pytest.param(equi, id=f"equicorrelation-{d}-{rho:.2f}"))
+    return cases
 
 
 class TestSelectStructure:
@@ -135,6 +195,10 @@ class TestSelectStructure:
                     for i in range(len(prev))
                     for j in range(i + 1, len(prev))
                 )
+
+    @pytest.mark.parametrize("corr", _structure_matrices())
+    def test_prim_matches_kruskal(self, corr):
+        assert select_structure(corr).to_dict() == _kruskal_structure(corr).to_dict()
 
     def test_structure_round_trip(self):
         corr = np.array([[1.0, 0.7, 0.2], [0.7, 1.0, 0.5], [0.2, 0.5, 1.0]])
@@ -600,6 +664,50 @@ class TestBinaryEdges:
         config = FitConfig()
         assert _fit_edge(obs, 1, 700, config) == _full_search(obs, 1, 700, config)
         assert len(fitted) == vine_module.SCREEN_KEEP
+
+
+    def test_a_binary_side_conditioned_through_independence_stays_binary(self, monkeypatch):
+        # b1 and b2 are binary, dependent on each other and independent of
+        # the 3-level t, so tree 2's edge (b1, b2; t) joins two binary sides
+        rng = np.random.default_rng(5)
+        n = 700
+        z = rng.multivariate_normal([0, 0], [[1, 0.6], [0.6, 1]], size=n)
+        t = rng.integers(1, 4, n).astype(float)
+        x = np.column_stack([(z[:, 0] > 0) + 1.0, t, (z[:, 1] > 0.3) + 1.0, t + rng.standard_normal(n)])
+        margins = [
+            OrdinalMargin.fit(x[:, 0], 2),
+            OrdinalMargin.fit(t, 3),
+            OrdinalMargin.fit(x[:, 2], 2),
+            KernelMargin.fit(x[:, 3]),
+        ]
+        structure = VineStructure(
+            d=4,
+            trees=[
+                [Edge((0, 1)), Edge((1, 2)), Edge((1, 3))],
+                [Edge((0, 2), {1}), Edge((2, 3), {1})],
+                [Edge((0, 3), {1, 2})],
+            ],
+        )
+        pairs, fit_edge = [], vine_module._fit_edge
+
+        def recording_fit_edge(obs, level, n, config):
+            pairs.append((level, obs))
+            return fit_edge(obs, level, n, config)
+
+        monkeypatch.setattr(vine_module, "_fit_edge", recording_fit_edge)
+        fitted_obs, fit = [], vine_module.bicop_fit
+
+        def counting_fit(family, rotation, obs, **kwargs):
+            fitted_obs.append(obs)
+            return fit(family, rotation, obs, **kwargs)
+
+        monkeypatch.setattr(vine_module, "bicop_fit", counting_fit)
+        model = fit_vine(x, margins, structure)
+        assert [fe.bicop.family for fe in model.trees[0]][:2] == ["indep", "indep"]
+        (later,) = [obs for level, obs in pairs if level == 2 and obs.u_disc and obs.v_disc]
+        assert np.unique(later.u_plus).size == np.unique(later.v_plus).size == 2
+        assert sum(obs is later for obs in fitted_obs) == 1
+        assert model.trees[1][0].bicop.family == "gaussian"
 
 
 class TestCriterionValue:
