@@ -1,13 +1,16 @@
 """Univariate margin models for the two-stage estimation pipeline.
 
 Continuous variables get either a Gaussian kernel density (Silverman
-rule-of-thumb bandwidth) or a piecewise-linear empirical CDF on the
-``rank/(n+1)`` scale; ordinal variables get smoothed category frequencies
-with half a pseudo-count per level (:func:`smoothed_level_probs`, shared
-with the latent thresholds).  Ordinal values pass
-:func:`~vinerisk.data.ordinal_codes` on fit and on every evaluation.  All
-CDF evaluations are clamped to ``[EPS, 1-EPS]`` so downstream copula
-arguments stay strictly inside the unit interval.
+rule-of-thumb bandwidth), evaluated by cubic Hermite interpolation on a grid
+of nodes a tenth of a bandwidth apart (:class:`KernelMargin`), or a
+piecewise-linear empirical CDF on the ``rank/(n+1)`` scale; ordinal
+variables get smoothed category frequencies with half a pseudo-count per
+level (:func:`smoothed_level_probs`, shared with the latent thresholds).
+Ordinal values pass :func:`~vinerisk.data.ordinal_codes` on fit and on every
+evaluation.  All CDF evaluations are clamped to ``[EPS, 1-EPS]`` so
+downstream copula arguments stay strictly inside the unit interval.  Every
+constructor rejects non-finite or inconsistent parameters with
+``DegenerateMargin``, so a saved model cannot carry them into scoring.
 """
 
 from __future__ import annotations
@@ -22,6 +25,13 @@ from .errors import DegenerateMargin, TooFewObservations
 #: Cells (values x centres) of one block of a kernel margin evaluation.
 BLOCK_CELLS = 32768
 
+#: A kernel margin's grid reaches this many bandwidths beyond its outermost
+#: centres, at a spacing of at most ``GRID_STEP`` bandwidths, with at most
+#: ``GRID_MAX_NODES`` nodes.
+GRID_REACH = 8.5
+GRID_STEP = 0.1
+GRID_MAX_NODES = 4096
+
 
 def smoothed_level_probs(codes, levels: int) -> np.ndarray:
     """Category frequencies of ``codes`` with half a pseudo-count per level,
@@ -31,7 +41,33 @@ def smoothed_level_probs(codes, levels: int) -> np.ndarray:
 
 
 class KernelMargin:
-    """Gaussian kernel density estimate of a continuous margin."""
+    """Gaussian kernel density estimate of a continuous margin.
+
+    The estimate is tabulated once, at construction, on a uniform grid over
+    ``[min(centres) - GRID_REACH h, max(centres) + GRID_REACH h]`` at a
+    spacing of at most ``GRID_STEP`` bandwidths ``h``:
+
+    - the density ``f`` and its slope ``f'`` at each node are exact kernel
+      means, which take ``exp`` only;
+    - the CDF ``F`` at the first node is the exact kernel mean of ``ndtr``;
+      from node to node it adds the integral of the cubic Hermite of ``f``,
+      ``d/2 (f_k + f_k+1) + d^2/12 (f'_k - f'_k+1)``;
+    - where the kernel mean underflows to 0 at a node, ``log f`` is taken of
+      the smallest normal double (about 2.2e-308) and its slope is 0, so the
+      density there reads about 1e-308 and never NaN.
+
+    ``cdf`` is the cubic Hermite through ``(F, f)``, clamped, and ``pdf`` the
+    ``exp`` of the cubic Hermite through ``(log f, f'/f)``.  Their error is
+    at most about 5.5e-7 in ``F`` for any margin (one kernel's fourth
+    derivative bounds the interpolation and the node-to-node integration);
+    on the benchmark's reference margins, 413 to 607 nodes each, it is at
+    most 3.7e-8 in ``F`` and 1.9e-5 in ``log f`` wherever ``f > 1e-6``.
+    A value off the grid is evaluated by the exact kernel mean, for ``cdf``
+    and ``pdf`` alike.  A margin whose grid would need more than
+    ``GRID_MAX_NODES`` nodes (centres spanning over about 400 bandwidths)
+    keeps an empty grid, so every value is evaluated exactly.  The grid is
+    derived state: the saved form is the centres and the bandwidth only.
+    """
 
     kind = "kernel"
     is_discrete = False
@@ -39,10 +75,35 @@ class KernelMargin:
     def __init__(self, centers, bandwidth):
         self.centers = np.asarray(centers, dtype=float)
         self.bandwidth = float(bandwidth)
-        if self.bandwidth <= 0:
-            raise DegenerateMargin("kernel bandwidth must be positive")
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise DegenerateMargin("kernel bandwidth must be positive and finite")
         if self.centers.size == 0:
             raise DegenerateMargin("kernel margin needs at least one centre")
+        if not np.all(np.isfinite(self.centers)):
+            raise DegenerateMargin("kernel centres must be finite")
+        h = self.bandwidth
+        self._lo = float(self.centers.min()) - GRID_REACH * h
+        span = float(self.centers.max()) + GRID_REACH * h - self._lo
+        nodes = np.ceil(span / (GRID_STEP * h)) + 1
+        if not nodes <= GRID_MAX_NODES:
+            nodes = 0
+        self._step = span / max(nodes - 1, 1)
+        x = self._lo + self._step * np.arange(int(nodes))
+        e_mean, ze_mean = np.empty(x.size), np.empty(x.size)
+        for rows, z in self._blocks(x):
+            e = _gauss(z)
+            e_mean[rows] = e.mean(axis=-1)
+            ze_mean[rows] = (z * e).mean(axis=-1)
+        scale = h * np.sqrt(2.0 * np.pi)
+        self._f = e_mean / scale
+        df = -ze_mean / (h * scale)
+        floored = np.maximum(e_mean, np.finfo(float).tiny)
+        self._logf = np.log(floored / scale)
+        self._dlogf = -ze_mean / (h * floored)
+        d = self._step
+        steps = d / 2 * (self._f[:-1] + self._f[1:]) + d * d / 12 * (df[:-1] - df[1:])
+        first = self._kernel_mean(self._lo, ndtr)
+        self._cdf = first + np.concatenate(([0.0], np.cumsum(steps)))
 
     @classmethod
     def fit(cls, values) -> "KernelMargin":
@@ -58,30 +119,61 @@ class KernelMargin:
         bw = 0.9 * spread * n ** (-0.2)
         return cls(values, bw)
 
-    def _kernel_mean(self, x, kernel):
-        """Mean of ``kernel(z)`` over the centres for each value of ``x``,
-        ``z = (x - centre) / bandwidth``.
+    def _blocks(self, flat):
+        """Row slices of the values ``flat`` and their (values x centres)
+        standardised distances ``z = (x - centre) / bandwidth``, in row
+        blocks of at most ``BLOCK_CELLS`` cells, so that temporaries stay in
+        cache."""
+        rows = max(1, BLOCK_CELLS // self.centers.size)
+        for i in range(0, flat.size, rows):
+            yield slice(i, i + rows), (flat[i : i + rows, None] - self.centers) / self.bandwidth
 
-        The (values x centres) matrix is built in row blocks of at most
-        ``BLOCK_CELLS`` cells, so its temporaries stay in cache; each row is
-        reduced exactly as from the whole matrix.
-        """
+    def _kernel_mean(self, x, kernel):
+        """Mean of ``kernel(z)`` over the centres for each value of ``x``;
+        each row is reduced exactly as from the whole matrix."""
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
         out = np.empty(flat.size)
-        rows = max(1, BLOCK_CELLS // self.centers.size)
-        for i in range(0, flat.size, rows):
-            z = (flat[i : i + rows, None] - self.centers) / self.bandwidth
-            out[i : i + rows] = kernel(z).mean(axis=-1)
+        for rows, z in self._blocks(flat):
+            out[rows] = kernel(z).mean(axis=-1)
         return out.reshape(x.shape)[()]
 
+    def _evaluate(self, x, on_grid, exact):
+        """``on_grid(k, t)`` for each value of ``x`` on the grid, in node
+        interval ``k`` at position ``t`` in [0, 1); ``exact`` of the others."""
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        s = (flat - self._lo) / self._step
+        k = np.floor(s)
+        inside = (k >= 0) & (k < self._f.size - 1)
+        out = np.empty(flat.size)
+        k = k[inside].astype(np.intp)
+        out[inside] = on_grid(k, s[inside] - k)
+        if not inside.all():
+            out[~inside] = exact(flat[~inside])
+        return out.reshape(x.shape)[()]
+
+    def _hermite(self, y, dy, k, t):
+        """Cubic Hermite through values ``y`` and slopes ``dy`` at the nodes."""
+        y0, rise = y[k], y[k + 1] - y[k]
+        d0, d1 = self._step * dy[k], self._step * dy[k + 1]
+        return y0 + t * (d0 + t * (3.0 * rise - 2.0 * d0 - d1 + t * (d0 + d1 - 2.0 * rise)))
+
     def pdf(self, x):
-        return self._kernel_mean(x, lambda z: np.exp(-0.5 * z * z)) / (
-            self.bandwidth * np.sqrt(2.0 * np.pi)
+        return self._evaluate(
+            x,
+            lambda k, t: np.exp(self._hermite(self._logf, self._dlogf, k, t)),
+            lambda v: self._kernel_mean(v, _gauss) / (self.bandwidth * np.sqrt(2.0 * np.pi)),
         )
 
     def cdf(self, x):
-        return _clip(self._kernel_mean(x, ndtr))
+        return _clip(
+            self._evaluate(
+                x,
+                lambda k, t: self._hermite(self._cdf, self._f, k, t),
+                lambda v: self._kernel_mean(v, ndtr),
+            )
+        )
 
     def cdf_left(self, x):
         return self.cdf(x)
@@ -92,6 +184,10 @@ class KernelMargin:
             "centers": self.centers.tolist(),
             "bandwidth": self.bandwidth,
         }
+
+
+def _gauss(z):
+    return np.exp(-0.5 * z * z)
 
 
 class EmpiricalMargin:
@@ -109,6 +205,13 @@ class EmpiricalMargin:
         self.knots_p = np.asarray(knots_p, dtype=float)
         if self.knots_x.size < 2:
             raise DegenerateMargin("empirical margin needs at least 2 distinct values")
+        x, p = self.knots_x, self.knots_p
+        if p.shape != x.shape:
+            raise DegenerateMargin("empirical margin needs one probability per knot")
+        if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+            raise DegenerateMargin("empirical knots must be finite and strictly increasing")
+        if not (np.all((p >= 0) & (p <= 1)) and np.all(np.diff(p) >= 0)):
+            raise DegenerateMargin("empirical knot probabilities must be non-decreasing in [0, 1]")
 
     @classmethod
     def fit(cls, values) -> "EmpiricalMargin":
@@ -155,9 +258,9 @@ class OrdinalMargin:
 
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=float)
-        if np.any(self.probs <= 0):
+        if not np.all(self.probs > 0):
             raise DegenerateMargin("ordinal probabilities must be strictly positive")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
+        if not abs(self.probs.sum() - 1.0) <= 1e-12:
             raise DegenerateMargin("ordinal probabilities must sum to 1")
         self._cum = np.cumsum(self.probs)
 

@@ -13,6 +13,7 @@ from vinerisk import bicop as bicop_module
 from vinerisk import optim as optim_module
 from vinerisk import vine as vine_module
 from vinerisk.bicop import (
+    EPS,
     INDEP,
     ROTATABLE,
     Bicop,
@@ -243,8 +244,21 @@ class TestCriterion:
         assert tau_independence_pvalue(0.9, 2) == 1.0
 
 
+class _NormalMargin:
+    """Exact standard-normal margin (kernel margins are tabulated on a grid),
+    so vine composition is checked to rounding."""
+
+    is_discrete = False
+
+    def cdf(self, x):
+        return np.clip(ndtr(x), EPS, 1.0 - EPS)
+
+    def pdf(self, x):
+        return stats.norm.pdf(x)
+
+
 def _normal_margin():
-    return KernelMargin(centers=[0.0], bandwidth=1.0)
+    return _NormalMargin()
 
 
 def _manual_model(truncation):
