@@ -808,6 +808,17 @@ class PairObs:
     def midpoints(self):
         return 0.5 * (self.u_plus + self.u_minus), 0.5 * (self.v_plus + self.v_minus)
 
+    def take(self, index) -> "PairObs":
+        """The pair at ``index``, as if built from the sides taken there."""
+        return PairObs(
+            self.u_plus[index],
+            self.v_plus[index],
+            self.u_minus[index] if self.u_disc else None,
+            self.v_minus[index] if self.v_disc else None,
+            u_disc=self.u_disc,
+            v_disc=self.v_disc,
+        )
+
 
 def _likelihood(cop: Bicop, obs: PairObs) -> tuple:
     """The log contributions of :func:`bicop_contributions` and the terms

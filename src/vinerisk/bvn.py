@@ -5,6 +5,8 @@ Vectorized port of the Drezner-Wesolowsky algorithm as refined by Genz
 correlation integral for moderate correlation, and an asymptotic expansion
 plus quadrature for ``|rho| > 0.925``.  Absolute accuracy is around 5e-16,
 far below what the discrete-likelihood and polychoric routines need.
+Every operation is elementwise, so a point's value does not depend on the
+other points of the call.
 """
 
 import math
@@ -97,9 +99,11 @@ def _bvnd(h, k, rho):
         if rho != 0.0:
             hs = (h * h + k * k) / 2.0
             asr = math.asin(rho)
+            # node by node, elementwise: a matrix product's rounding would
+            # depend on how many points share the call
             for sign in (-1.0, 1.0):
-                sn = np.sin(asr * (sign * x + 1.0) / 2.0)[:, None]
-                bvn += w @ np.exp((sn * hk[None, :] - hs[None, :]) / (1.0 - sn * sn))
+                for sn, wi in zip(np.sin(asr * (sign * x + 1.0) / 2.0), w):
+                    bvn += wi * np.exp((sn * hk - hs) / (1.0 - sn * sn))
             bvn = bvn * asr / (2.0 * _TWOPI)
         return bvn + ndtr(-h) * ndtr(-k)
 

@@ -91,31 +91,39 @@ class ConditionalRhoResult:
 
 
 def _midranks(values, counts) -> np.ndarray:
-    """Rank of each row's value within each resample, ties sharing midranks.
+    """Twice the rank of each row's value within each resample, ties sharing
+    midranks, in the integer dtype of ``counts``.
 
     ``counts[r, i]`` is how often resample ``r`` drew row ``i``.  A value
     drawn ``w`` times after ``c`` draws of smaller values spans ranks
     ``c+1 .. c+w`` and gets their mean, as ``scipy.stats.rankdata`` would
-    give it in the expanded resample.
+    give it in the expanded resample; twice that is ``c + (c + w) + 1``.
     """
     _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
     order = np.argsort(group, kind="stable")
-    upto = np.cumsum(counts[:, order], axis=1)[:, np.cumsum(sizes) - 1]
+    upto = np.cumsum(counts[:, order], axis=1, dtype=counts.dtype)[:, np.cumsum(sizes) - 1]
     below = np.zeros_like(upto)
     below[:, 1:] = upto[:, :-1]
-    return ((below + upto + 1.0) / 2.0)[:, group]
+    return (below + upto + 1)[:, group]
+
+
+#: Rows up to which resample counts and doubled midranks are int32.  A count
+#: is at most n and a doubled deviation from the mean rank at most n in size,
+#: so their product stays below n**2 < 2**31; larger inputs take int64.
+INT32_ROWS = 46_340
 
 
 def _resample_counts(rng, n: int, k: int) -> np.ndarray:
     """How often each of ``n`` rows is drawn in each of ``k`` resamples with
-    replacement, shape ``(k, n)``.
+    replacement, shape ``(k, n)``, as int32 up to ``INT32_ROWS`` rows.
 
     One ``rng.integers(0, n, size=(k, n))`` call and one offset ``bincount``;
     numpy fills the draw row by row, so the stream and the generator's final
     state are those of ``k`` calls of ``size=n``.
     """
     idx = rng.integers(0, n, size=(k, n)) + n * np.arange(k)[:, None]
-    return np.bincount(idx.ravel(), minlength=k * n).reshape(k, n)
+    counts = np.bincount(idx.ravel(), minlength=k * n).reshape(k, n)
+    return counts.astype(np.int32 if n <= INT32_ROWS else np.int64)
 
 
 def _resample_spearman(x, y, counts) -> np.ndarray:
@@ -124,17 +132,20 @@ def _resample_spearman(x, y, counts) -> np.ndarray:
     Rho is the count-weighted Pearson correlation of midranks.  A resample
     is unusable when it holds fewer than ``MIN_CATEGORY_ROWS`` draws or
     either column is constant; those are left out, as in
-    :func:`conditional_spearman`.  Ranks and their mean ``(N+1)/2`` are
-    multiples of 1/2, so the deviations are exact: a constant column has a
-    sum of squares of exactly zero and any other column a positive one.
+    :func:`conditional_spearman`.  The deviations of doubled midranks from
+    their mean ``N + 1`` are integers, and so are the sums of their squares
+    and products, which are exact in float64 below 2**53 (about 2e5 rows):
+    a constant column has a sum of squares of exactly zero and any other
+    column a positive one.  Doubling scales every sum by 4, which leaves rho
+    unchanged to the bit.
     """
-    draws = counts.sum(axis=1)
-    mean = (draws[:, None] + 1.0) / 2.0
-    dx = _midranks(x, counts) - mean
-    dy = _midranks(y, counts) - mean
-    sxx = (counts * dx * dx).sum(axis=1)
-    syy = (counts * dy * dy).sum(axis=1)
-    sxy = (counts * dx * dy).sum(axis=1)
+    draws = counts.sum(axis=1, dtype=counts.dtype)
+    dx = _midranks(x, counts) - (draws[:, None] + 1)
+    dy = _midranks(y, counts) - (draws[:, None] + 1)
+    cx = counts * dx
+    sxx = np.einsum("ij,ij->i", cx, dx, dtype=float)
+    syy = np.einsum("ij,ij->i", counts * dy, dy, dtype=float)
+    sxy = np.einsum("ij,ij->i", cx, dy, dtype=float)
     ok = (draws >= MIN_CATEGORY_ROWS) & (sxx > 0.0) & (syy > 0.0)
     return np.clip(sxy[ok] / np.sqrt(sxx[ok] * syy[ok]), -1.0, 1.0)
 

@@ -13,8 +13,12 @@ the truncation level are chosen by a Bayesian-flavoured information
 criterion with a geometrically decaying prior on non-independence edges;
 only the candidates that score best at their tau-inversion start get the
 maximum-likelihood fit.
-Margins are evaluated once per distinct value of each column and scattered
-back to the rows, so grids whose rows share values cost no repeated work.
+Margins are evaluated once per distinct value of each column, and each
+edge is scored once per distinct combination of its varying constraint-set
+columns (those of its conditioned pair and conditioning set that take more
+than one value in the call), then scattered back to the rows, so grids
+whose rows share values cost no repeated work.  A row's log density is
+bitwise what scoring it alone gives.
 """
 
 from __future__ import annotations
@@ -233,9 +237,10 @@ class FittedEdge:
 
 
 def _distinct_columns(x) -> list:
-    """``(values, inverse)`` per column: its distinct values and the index
-    that scatters results on them back to the rows."""
-    return [np.unique(x[:, j], return_inverse=True) for j in range(x.shape[1])]
+    """``(values, first, inverse)`` per column: its distinct values, a row
+    holding each, and the index that scatters results on them back to the
+    rows."""
+    return [np.unique(x[:, j], return_index=True, return_inverse=True) for j in range(x.shape[1])]
 
 
 class _Columns:
@@ -244,25 +249,79 @@ class _Columns:
     the sides each edge ``(a, b; D)`` conditions for the next tree, ``a``
     given ``D | {b}`` and ``b`` given ``D | {a}``.  A column is its values
     at the observed code and just below it, the latter None when the
-    column is continuous, as :func:`~vinerisk.bicop.bicop_condition` gives."""
+    column is continuous, as :func:`~vinerisk.bicop.bicop_condition` gives.
+
+    A column depends only on the base columns of its variable and
+    conditioning set, so it is held once per distinct combination of those
+    of them that vary in this call (have more than one distinct value).
+    Each such set of base columns has a key, ``(inverse, first)``: every
+    row's combination and a row holding each.  Keys are made on first use
+    and live as long as the traversal.
+    """
 
     def __init__(self, margins, distinct):
+        self._distinct = distinct
+        self._n = distinct[0][2].size
+        self._keys = {}
         self._cols = {}
-        for j, (m, (values, inverse)) in enumerate(zip(margins, distinct)):
-            up = np.asarray(m.cdf(values), dtype=float)[inverse]
-            lo = np.asarray(m.cdf_left(values), dtype=float)[inverse] if m.is_discrete else None
-            self._cols[(j, frozenset())] = (up, lo)
+        for j, (m, (values, _, _)) in enumerate(zip(margins, distinct)):
+            up = np.asarray(m.cdf(values), dtype=float)
+            lo = np.asarray(m.cdf_left(values), dtype=float) if m.is_discrete else None
+            self._cols[(j, frozenset())] = (self._varying({j}), up, lo)
 
-    def of(self, edge: Edge) -> PairObs:
-        """The pair of an edge's conditioned variables given its conditioning set."""
-        (up, ulo), (vp, vlo) = (self._cols[(j, edge.conditioning)] for j in edge.conditioned)
-        return PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None)
+    def _varying(self, columns) -> frozenset:
+        return frozenset(j for j in columns if self._distinct[j][0].size > 1)
+
+    def _key(self, s: frozenset, parts=()) -> tuple:
+        """The key of the varying columns ``s``: one combination when ``s``
+        is empty, a column's own distinct values when it holds one, else the
+        rows themselves when a member is distinct on every row, and otherwise
+        the distinct pairs of ``parts``, the keys of two subsets covering
+        ``s``."""
+        if s not in self._keys:
+            n = self._n
+            if not s:
+                key = np.zeros(n, dtype=np.intp), np.arange(min(n, 1))
+            elif len(s) == 1:
+                (j,) = s
+                _, first, inverse = self._distinct[j]
+                key = inverse, first
+            elif any(self._distinct[j][0].size == n for j in s):
+                key = np.arange(n), np.arange(n)
+            else:
+                (ia, _), (ib, fb) = parts
+                # codes below n**2: no overflow under 3e9 rows
+                _, first, inverse = np.unique(
+                    ia * fb.size + ib, return_index=True, return_inverse=True
+                )
+                key = inverse, first
+            self._keys[s] = key
+        return self._keys[s]
+
+    def pair(self, edge: Edge) -> tuple:
+        """The pair of an edge's conditioned variables given its conditioning
+        set, on the distinct combinations of the edge's varying columns, and
+        each row's combination."""
+        sides = [self._cols[(j, edge.conditioning)] for j in edge.conditioned]
+        keys = [self._key(t) for t, _, _ in sides]
+        s = sides[0][0] | sides[1][0]
+        inverse, first = self._key(s, keys)
+        gathered = []
+        for (t, plus, minus), key in zip(sides, keys):
+            if t != s:
+                rows = key[0][first]
+                plus, minus = plus[rows], None if minus is None else minus[rows]
+            gathered.append((plus, minus))
+        (up, ulo), (vp, vlo) = gathered
+        return PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None), inverse
 
     def store(self, edge: Edge, u_given: tuple, v_given: tuple) -> None:
-        """Keep an edge's conditioned sides as two columns of the next tree."""
+        """Keep an edge's conditioned sides, on the combinations of
+        :meth:`pair`, as two columns of the next tree."""
         a, b = edge.conditioned
-        self._cols[(a, edge.conditioning | {b})] = u_given
-        self._cols[(b, edge.conditioning | {a})] = v_given
+        s = self._varying(edge.all_vars)
+        self._cols[(a, edge.conditioning | {b})] = (s, *u_given)
+        self._cols[(b, edge.conditioning | {a})] = (s, *v_given)
 
 
 def _edge_candidates(families, rotation_tau: float, any_discrete: bool, binary: bool):
@@ -400,9 +459,10 @@ def fit_vine(
     trees: list[list[FittedEdge]] = []
     truncation = 0
     for level, tree in enumerate(structure.trees, start=1):
-        pairs = [cols.of(edge) for edge in tree]
+        pairs = [cols.pair(edge) for edge in tree]
         fitted = [
-            FittedEdge(edge, *_fit_edge(obs, level, n, config)) for edge, obs in zip(tree, pairs)
+            FittedEdge(edge, *_fit_edge(obs.take(inverse), level, n, config))
+            for edge, (obs, inverse) in zip(tree, pairs)
         ]
         trees.append(fitted)
         any_dependence = any(fe.bicop.family != "indep" for fe in fitted)
@@ -411,7 +471,7 @@ def fit_vine(
         elif config.truncation_search == "greedy":
             break
         if level < len(structure.trees):
-            for fe, obs in zip(fitted, pairs):
+            for fe, (obs, _) in zip(fitted, pairs):
                 cols.store(fe.edge, *bicop_condition(fe.bicop, obs)[1:])
     trees = trees[:truncation]
     return VineModel(
@@ -431,13 +491,14 @@ def vine_logdensity(model: VineModel, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {model.d} columns, got {x.shape[1]}")
     distinct = _distinct_columns(x)
     logf = np.zeros(x.shape[0])
-    for m, (values, inverse) in zip(model.margins, distinct):
+    for m, (values, _, inverse) in zip(model.margins, distinct):
         dens = np.asarray(m.pdf(values), dtype=float)
         logf += np.log(np.maximum(dens, CONTRIB_FLOOR))[inverse]
     cols = _Columns(model.margins, distinct)
     for fe in model.all_edges():
-        contrib, u_given, v_given = bicop_condition(fe.bicop, cols.of(fe.edge))
-        logf += contrib
+        obs, inverse = cols.pair(fe.edge)
+        contrib, u_given, v_given = bicop_condition(fe.bicop, obs)
+        logf += contrib[inverse]
         cols.store(fe.edge, u_given, v_given)
     return logf
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import multivariate_normal, norm
 
 from vinerisk.bvn import bvn_cdf
@@ -54,3 +54,14 @@ def test_monotone_in_rho():
     rhos = np.linspace(-0.99, 0.99, 45)
     vals = [bvn_cdf(0.3, -0.4, r) for r in rhos]
     assert np.all(np.diff(vals) > 0)
+
+
+# 6-, 12- and 20-point rules, and the expansion for |rho| >= 0.925
+@pytest.mark.parametrize("rho", [0.2, -0.5, 0.8, -0.9, 0.95, -0.97])
+def test_a_point_does_not_depend_on_its_batch(rho):
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(2, 600))
+    whole = bvn_cdf(x, y, rho)
+    assert_array_equal(whole, [bvn_cdf(a, b, rho) for a, b in zip(x, y)])
+    order = rng.permutation(x.size)
+    assert_array_equal(bvn_cdf(x[order], y[order], rho), whole[order])

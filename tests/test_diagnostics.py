@@ -180,6 +180,58 @@ class TestBootstrapEquivalence:
         assert res.lower == res.upper == res.observed == lower == upper
 
 
+def _float_resample_spearman(x, y, counts):
+    """Reference: rho of each usable resample from midranks and deviations in
+    float halves."""
+    counts = counts.astype(float)
+
+    def midranks(values):
+        _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+        order = np.argsort(group, kind="stable")
+        upto = np.cumsum(counts[:, order], axis=1)[:, np.cumsum(sizes) - 1]
+        below = np.zeros_like(upto)
+        below[:, 1:] = upto[:, :-1]
+        return ((below + upto + 1.0) / 2.0)[:, group]
+
+    draws = counts.sum(axis=1)
+    mean = (draws[:, None] + 1.0) / 2.0
+    dx, dy = midranks(x) - mean, midranks(y) - mean
+    sxx = (counts * dx * dx).sum(axis=1)
+    syy = (counts * dy * dy).sum(axis=1)
+    sxy = (counts * dx * dy).sum(axis=1)
+    ok = (draws >= MIN_CATEGORY_ROWS) & (sxx > 0.0) & (syy > 0.0)
+    return np.clip(sxy[ok] / np.sqrt(sxx[ok] * syy[ok]), -1.0, 1.0)
+
+
+class TestIntegerRanks:
+    @pytest.mark.parametrize("data", [_cond_pair(300, 0.5, seed=1), _rounded(), _sparse_tied()])
+    def test_resample_rho_equals_the_float_formula(self, data):
+        x, y, z = data
+        counts = diagnostics._resample_counts(np.random.default_rng(8), x.size, 300)
+        assert counts.dtype == np.int32
+        for cat in np.unique(z):
+            r = z == cat
+            want = _float_resample_spearman(x[r], y[r], counts[:, r])
+            assert_array_equal(diagnostics._resample_spearman(x[r], y[r], counts[:, r]), want)
+
+    @pytest.mark.parametrize("n", [diagnostics.INT32_ROWS, diagnostics.INT32_ROWS + 1])
+    def test_counts_at_the_int32_bound(self, n):
+        dtype = np.int32 if n <= diagnostics.INT32_ROWS else np.int64
+        assert diagnostics._resample_counts(np.random.default_rng(0), n, 1).dtype == dtype
+        # n draws spread over four rows, as a category of an n-row input
+        # could hold them, with the largest count x deviation products
+        h = n // 2
+        counts = np.array(
+            [[h, 0, 0, n - h], [0, h, n - h, 0], [1, n - 2, 0, 1], [h - 1, 1, 1, n - h - 1]],
+            dtype=dtype,
+        )
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        y = np.array([1.0, 3.0, 0.0, 2.0])
+        got = diagnostics._resample_spearman(x, y, counts)
+        assert got.size == 4
+        assert_array_equal(got, _float_resample_spearman(x, y, counts))
+
+
 class TestBootstrapBands:
     def test_deterministic_under_seed(self):
         x, y, z = _cond_pair(150, 0.5, seed=1)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import json
 import math
 
@@ -13,12 +14,14 @@ from vinerisk import bicop as bicop_module
 from vinerisk import optim as optim_module
 from vinerisk import vine as vine_module
 from vinerisk.bicop import (
+    CONTRIB_FLOOR,
     EPS,
     INDEP,
     ROTATABLE,
     Bicop,
     PairObs,
     _gauss_legendre,
+    bicop_condition,
     bicop_fit,
     bicop_loglik,
     empirical_tau,
@@ -26,9 +29,10 @@ from vinerisk.bicop import (
 )
 from vinerisk.errors import TooFewObservations
 from vinerisk.latent import partial_correlation
-from vinerisk.classifier import ClassifierModel, posterior
-from vinerisk.data import Schema, VariableSpec
+from vinerisk.classifier import ClassifierModel, fit_classifier, posterior
+from vinerisk.data import Dataset, Schema, VariableSpec
 from vinerisk.margins import EmpiricalMargin, KernelMargin, OrdinalMargin
+from vinerisk.scenario import BaseProfile, GridSpec, risk_surface
 from vinerisk.vine import (
     Edge,
     FitConfig,
@@ -921,3 +925,172 @@ class TestPerDistinctMargins:
         assert len(seen) >= 2 * model.d
         for values in seen:
             assert values.ndim == 1 and np.unique(values).size == values.size
+
+
+def _traverse_rows(model, x):
+    """Reference scoring: every margin and pair-copula on every row."""
+    logf = np.zeros(x.shape[0])
+    cols = {}
+    for j, m in enumerate(model.margins):
+        logf += np.log(np.maximum(np.asarray(m.pdf(x[:, j]), dtype=float), CONTRIB_FLOOR))
+        lo = np.asarray(m.cdf_left(x[:, j]), dtype=float) if m.is_discrete else None
+        cols[(j, frozenset())] = (np.asarray(m.cdf(x[:, j]), dtype=float), lo)
+    for fe in model.all_edges():
+        (a, b), cond = fe.edge.conditioned, fe.edge.conditioning
+        (up, ulo), (vp, vlo) = cols[(a, cond)], cols[(b, cond)]
+        obs = PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None)
+        contrib, cols[(a, cond | {b})], cols[(b, cond | {a})] = bicop_condition(fe.bicop, obs)
+        logf += contrib
+    return logf
+
+
+_DEDUP_NAMES = ("c0", "c1", "c2", "o3", "o4")
+_DEDUP_LEVELS = {"o3": 4, "o4": 3}
+
+
+def _dedup_cohort(seed, n):
+    """Latent-normal rows: three continuous columns and two ordinal ones."""
+    rng = np.random.default_rng(seed)
+    corr = 0.45 + 0.55 * np.eye(5)
+    corr[0, 3] = corr[3, 0] = -0.3
+    z = rng.multivariate_normal(np.zeros(5), corr, size=n)
+    z[:, 3] = np.digitize(z[:, 3], [-0.8, 0.0, 0.7]) + 1.0
+    z[:, 4] = np.digitize(z[:, 4], [-0.4, 0.6]) + 1.0
+    return z
+
+
+@functools.lru_cache(maxsize=None)
+def _dedup_classifier():
+    schema = Schema(
+        tuple(
+            VariableSpec(n, "ordinal", _DEDUP_LEVELS[n])
+            if n in _DEDUP_LEVELS
+            else VariableSpec(n, "continuous")
+            for n in _DEDUP_NAMES
+        ),
+        label="y",
+    )
+    shifted = _dedup_cohort(2, 250) * [1.0, 0.7, 1.0, 1.0, 1.0] + [0.5, 0.0, 0.0, 0.0, 0.0]
+    x = np.vstack([_dedup_cohort(1, 250), shifted])
+    labels = np.repeat([0, 1], 250)
+    model = fit_classifier(Dataset(schema, x, labels=labels))
+    assert all(v.truncation >= 2 for v in model.vines)
+    return model
+
+
+def _grid_rows(columns_and_values):
+    """Rows of the product of the given column grids, every other column at
+    the values of one fixed row."""
+    base = _dedup_cohort(3, 1)[0]
+    mesh = np.meshgrid(*(values for _, values in columns_and_values), indexing="ij")
+    x = np.tile(base, (mesh[0].size, 1))
+    for (j, _), values in zip(columns_and_values, mesh):
+        x[:, j] = values.ravel()
+    return x
+
+
+_GRIDS = {
+    "curve": [(0, np.linspace(-2.0, 2.0, 200))],
+    "continuous x continuous": [(0, np.linspace(-2.0, 2.0, 300)), (2, np.linspace(-1.5, 2.5, 3))],
+    "continuous x ordinal": [(1, np.linspace(-2.0, 2.0, 40)), (3, np.arange(1.0, 5.0))],
+    "ordinal x ordinal": [(3, np.arange(1.0, 5.0)), (4, np.arange(1.0, 4.0))],
+}
+
+
+class TestEdgeDedup:
+    @pytest.mark.parametrize("grid", list(_GRIDS), ids=list(_GRIDS))
+    def test_grids_match_the_row_traversal(self, grid):
+        x = _grid_rows(_GRIDS[grid])
+        for vine in _dedup_classifier().vines:
+            assert_array_equal(vine_logdensity(vine, x), _traverse_rows(vine, x))
+
+    def test_distinct_rows_match_the_row_traversal(self):
+        x = _dedup_cohort(4, 300)
+        for vine in _dedup_classifier().vines:
+            assert_array_equal(vine_logdensity(vine, x), _traverse_rows(vine, x))
+
+    def test_a_permuted_batch_scores_each_row_alike(self):
+        x = np.vstack([_grid_rows(_GRIDS["continuous x ordinal"]), _dedup_cohort(5, 60)])
+        order = np.random.default_rng(6).permutation(x.shape[0])
+        for vine in _dedup_classifier().vines:
+            assert_array_equal(vine_logdensity(vine, x[order]), vine_logdensity(vine, x)[order])
+
+    def test_rows_scored_alone_match_their_batch(self):
+        x = np.vstack([_grid_rows(_GRIDS["continuous x ordinal"]), _dedup_cohort(9, 40)])
+        for vine in _dedup_classifier().vines:
+            alone = np.concatenate([vine_logdensity(vine, row[None, :]) for row in x])
+            assert_array_equal(vine_logdensity(vine, x), alone)
+
+    def test_one_row_and_no_rows(self):
+        model = _dedup_classifier()
+        x = _dedup_cohort(7, 1)
+        for vine in model.vines:
+            assert_array_equal(vine_logdensity(vine, x), _traverse_rows(vine, x))
+            assert vine_logdensity(vine, x[:0]).shape == (0,)
+        assert posterior(model, np.empty((0, len(_DEDUP_NAMES)))).shape == (0, 2)
+
+    def test_each_edge_is_scored_once_per_grid_combination(self, monkeypatch):
+        model = _dedup_classifier()
+        edges = [fe.edge for vine in model.vines for fe in vine.all_edges()]
+        # two continuous grid columns that some edge touches neither of
+        grid_cols = next(
+            cols
+            for cols in ((0, 1), (0, 2), (1, 2))
+            if any(not e.all_vars & set(cols) for e in edges)
+        )
+        seen = []
+
+        def counting(cop, obs):
+            seen.append(obs.n)
+            return bicop_condition(cop, obs)
+
+        monkeypatch.setattr(vine_module, "bicop_condition", counting)
+        names = [_DEDUP_NAMES[j] for j in grid_cols]
+        base = BaseProfile(dict(zip(_DEDUP_NAMES, [0.1, -0.2, 0.3, 2, 1])))
+        surface = risk_surface(
+            model, base, *(GridSpec.linspace(n, -2.0, 2.0, 100) for n in names)
+        )
+        assert surface.probs.shape == (100, 100)
+        expected = [100 ** len(e.all_vars & set(grid_cols)) for e in edges]
+        assert seen == expected
+        assert {1, 100, 10_000} <= set(expected)
+
+
+def _fit_rows(x, margins, structure, config):
+    """Reference fit: the greedy search of ``fit_vine`` with every column and
+    every conditioning step on the rows."""
+    n = x.shape[0]
+    cols = {}
+    for j, m in enumerate(margins):
+        lo = np.asarray(m.cdf_left(x[:, j]), dtype=float) if m.is_discrete else None
+        cols[(j, frozenset())] = (np.asarray(m.cdf(x[:, j]), dtype=float), lo)
+    trees, truncation = [], 0
+    for level, tree in enumerate(structure.trees, start=1):
+        fitted = []
+        for edge in tree:
+            (a, b), cond = edge.conditioned, edge.conditioning
+            (up, ulo), (vp, vlo) = cols[(a, cond)], cols[(b, cond)]
+            obs = PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None)
+            fe = FittedEdge(edge, *_fit_edge(obs, level, n, config))
+            _, cols[(a, cond | {b})], cols[(b, cond | {a})] = bicop_condition(fe.bicop, obs)
+            fitted.append(fe)
+        trees.append(fitted)
+        if any(fe.bicop.family != "indep" for fe in fitted):
+            truncation = level
+        else:
+            break
+    return trees[:truncation]
+
+
+def test_fit_on_tied_rows_matches_the_row_traversal():
+    x = _dedup_cohort(8, 300)
+    x[:, :3] = np.round(x[:, :3], 1)  # continuous columns with repeated values
+    margins = [KernelMargin.fit(x[:, j]) for j in range(3)]
+    margins += [OrdinalMargin.fit(x[:, 3], 4), OrdinalMargin.fit(x[:, 4], 3)]
+    structure = select_structure(np.corrcoef(x, rowvar=False))
+    model = fit_vine(x, margins, structure, FitConfig())
+    assert model.truncation >= 2
+    want = _fit_rows(x, margins, structure, FitConfig())
+    assert [[fe.to_dict() for fe in tree] for tree in model.trees] == [
+        [fe.to_dict() for fe in tree] for tree in want
+    ]
