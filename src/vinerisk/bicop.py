@@ -824,16 +824,20 @@ def _likelihood(cop: Bicop, obs: PairObs) -> tuple:
     """The log contributions of :func:`bicop_contributions` and the terms
     they are built from: the h-functions at a discrete side's (plus, minus)
     corners, C at the four corners ``(++, +-, -+, --)`` when both sides are
-    discrete, none for a continuous pair."""
+    discrete, none for a continuous pair.  Each corner set is one kernel
+    call, the corners stacked along a leading axis against the shared side:
+    the kernels are elementwise, so each corner is what a call of its own
+    gives."""
     up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
     if obs.u_disc and obs.v_disc:
-        terms = cop._cdf(up, vp), cop._cdf(up, vm), cop._cdf(um, vp), cop._cdf(um, vm)
-        prob = terms[0] - terms[1] - terms[2] + terms[3]
+        (cpp, cpm), (cmp_, cmm) = cop._cdf(np.stack([up, um])[:, None], np.stack([vp, vm]))
+        terms = cpp, cpm, cmp_, cmm
+        prob = cpp - cpm - cmp_ + cmm
     elif obs.u_disc:
-        terms = cop._hfunc(up, vp, "1|2"), cop._hfunc(um, vp, "1|2")
+        terms = tuple(cop._hfunc(np.stack([up, um]), vp, "1|2"))
         prob = terms[0] - terms[1]
     elif obs.v_disc:
-        terms = cop._hfunc(up, vp, "2|1"), cop._hfunc(up, vm, "2|1")
+        terms = tuple(cop._hfunc(up, np.stack([vp, vm]), "2|1"))
         prob = terms[0] - terms[1]
     else:
         return np.maximum(cop._logpdf(up, vp), LOG_FLOOR), ()
@@ -856,7 +860,7 @@ def bicop_contributions(cop: Bicop, obs: PairObs) -> np.ndarray:
     return _likelihood(cop, obs)[0]
 
 
-def bicop_condition(cop: Bicop, obs: PairObs) -> tuple:
+def bicop_condition(cop: Bicop, obs: PairObs, sides=(True, True)) -> tuple:
     """One pair-copula step of a vine: ``(contributions, u_given, v_given)``.
 
     ``contributions`` are :func:`bicop_contributions`.  ``u_given`` and
@@ -865,32 +869,46 @@ def bicop_condition(cop: Bicop, obs: PairObs) -> tuple:
     difference of C across a discrete side's code over its mass
     (Panagiotelis, Czado & Joe 2012).  Each is ``(plus, minus)`` clipped
     into [EPS, 1 - EPS], ``minus`` capped at ``plus`` for a discrete side
-    and None for a continuous one.  Each copula term is evaluated once.
-    An independence edge hands both sides on as they came: ``u | v = u``.
+    and None for a continuous one.  ``sides`` says which of the two to
+    compute, ``(u | v, v | u)``; a side not asked for comes back as None.
+    Each copula term is evaluated once, and a corner set in one kernel
+    call.  An independence edge hands both sides on as they came:
+    ``u | v = u``.
     """
     contrib, terms = _likelihood(cop, obs)
     up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
     mass_u, mass_v = obs.masses
     if cop.family == "indep":
-        u_given = up, um if obs.u_disc else None
-        v_given = vp, vm if obs.v_disc else None
+        given = (
+            lambda: (up, um if obs.u_disc else None),
+            lambda: (vp, vm if obs.v_disc else None),
+        )
     elif obs.u_disc and obs.v_disc:
         cpp, cpm, cmp_, cmm = terms
-        u_given = (cpp - cpm) / mass_v, (cmp_ - cmm) / mass_v
-        v_given = (cpp - cmp_) / mass_u, (cpm - cmm) / mass_u
+        given = (
+            lambda: ((cpp - cpm) / mass_v, (cmp_ - cmm) / mass_v),
+            lambda: ((cpp - cmp_) / mass_u, (cpm - cmm) / mass_u),
+        )
     elif obs.u_disc:
-        u_given = terms
-        v_given = (cop._cdf(up, vp) - cop._cdf(um, vp)) / mass_u, None
+        given = (
+            lambda: terms,
+            lambda: (np.subtract(*cop._cdf(np.stack([up, um]), vp)) / mass_u, None),
+        )
     elif obs.v_disc:
-        u_given = (cop._cdf(up, vp) - cop._cdf(up, vm)) / mass_v, None
-        v_given = terms
+        given = (
+            lambda: (np.subtract(*cop._cdf(up, np.stack([vp, vm]))) / mass_v, None),
+            lambda: terms,
+        )
     else:
-        u_given = cop._hfunc(up, vp, "1|2"), None
-        v_given = cop._hfunc(up, vp, "2|1"), None
-    return contrib, *(
-        (_clip(plus), None if minus is None else _clip(np.minimum(minus, plus)))
-        for plus, minus in (u_given, v_given)
-    )
+        given = (
+            lambda: (cop._hfunc(up, vp, "1|2"), None),
+            lambda: (cop._hfunc(up, vp, "2|1"), None),
+        )
+    return contrib, *(_clip_given(*side()) if want else None for side, want in zip(given, sides))
+
+
+def _clip_given(plus, minus):
+    return _clip(plus), None if minus is None else _clip(np.minimum(minus, plus))
 
 
 def bicop_loglik(cop: Bicop, obs: PairObs) -> float:

@@ -20,7 +20,14 @@ from .data import MIN_ROWS, Dataset, Schema, check_rows
 from .errors import DegenerateLabels, TooFewObservations
 from .latent import latent_correlation_matrix, midranks
 from .margins import fit_margin
-from .vine import FitConfig, VineModel, fit_vine, select_structure, vine_logdensity
+from .vine import (
+    FitConfig,
+    VineModel,
+    distinct_columns,
+    fit_vine,
+    select_structure,
+    vine_logdensity,
+)
 
 PROB_FLOOR = 1e-300
 
@@ -64,8 +71,9 @@ class ClassifierModel:
         )
 
     def save(self, path) -> None:
+        # json.dumps takes the C encoder; json.dump to a file would not
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, path) -> "ClassifierModel":
@@ -119,7 +127,8 @@ def class_logdensity(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
     """Matrix of per-class log densities, one column per class, of the rows
     of ``x`` checked by :func:`~vinerisk.data.check_rows`."""
     x = check_rows(model.schema, np.atleast_2d(x))
-    return np.column_stack([vine_logdensity(v, x) for v in model.vines])
+    distinct = distinct_columns(x)
+    return np.column_stack([vine_logdensity(v, x, distinct) for v in model.vines])
 
 
 def posteriors_from_logdensity(logf: np.ndarray, priors) -> np.ndarray:

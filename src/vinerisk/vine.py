@@ -19,6 +19,15 @@ columns (those of its conditioned pair and conditioning set that take more
 than one value in the call), then scattered back to the rows, so grids
 whose rows share values cost no repeated work.  A row's log density is
 bitwise what scoring it alone gives.
+
+An edge computes only the conditioned sides a later edge reads
+(:func:`_read_columns`).  A dependent edge reads both of its sides.  An
+independence edge reads its discrete sides, whose masses make its
+contribution, and a continuous side only when it passes it on to a column
+that is itself read; one with two continuous sides and nothing read
+contributes exactly 0 and is skipped.  Nothing reads the last fitted
+tree.  While fitting, every edge of the next tree reads both its sides,
+since its family is not chosen yet.
 """
 
 from __future__ import annotations
@@ -236,11 +245,39 @@ class FittedEdge:
         )
 
 
-def _distinct_columns(x) -> list:
+def distinct_columns(x) -> list:
     """``(values, first, inverse)`` per column: its distinct values, a row
     holding each, and the index that scatters results on them back to the
     rows."""
     return [np.unique(x[:, j], return_index=True, return_inverse=True) for j in range(x.shape[1])]
+
+
+def _outputs(edge: Edge) -> tuple:
+    """The columns an edge ``(a, b; D)`` conditions, ``a`` given ``D | {b}``
+    and ``b`` given ``D | {a}``, as ``(variable, conditioning set)`` keys."""
+    (a, b), cond = edge.conditioned, edge.conditioning
+    return (a, cond | {b}), (b, cond | {a})
+
+
+def _read_columns(trees, discrete) -> set:
+    """The columns, as ``(variable, conditioning set)`` keys, that some edge
+    of ``trees`` reads, found by walking the trees backwards.
+
+    ``trees`` holds each tree's ``(edge, independent)`` pairs and
+    ``discrete[j]`` whether variable ``j`` is discrete (so is every column
+    of it).  A dependent edge reads both of its sides.  An independence
+    edge reads a discrete side, since its contribution is the log ratio of
+    that side's masses, and a continuous side only when it passes it
+    through to an output that is itself read.  Nothing reads the outputs
+    of the last tree.
+    """
+    read = set()
+    for tree in reversed(trees):
+        for edge, independent in tree:
+            for j, out in zip(edge.conditioned, _outputs(edge)):
+                if not independent or discrete[j] or out in read:
+                    read.add((j, edge.conditioning))
+    return read
 
 
 class _Columns:
@@ -250,6 +287,9 @@ class _Columns:
     given ``D | {b}`` and ``b`` given ``D | {a}``.  A column is its values
     at the observed code and just below it, the latter None when the
     column is continuous, as :func:`~vinerisk.bicop.bicop_condition` gives.
+    A column no edge reads is not computed; an edge that takes one as a
+    side sees a constant there, which an independence edge never uses, and
+    the column it passes on is held on the combinations of its other side.
 
     A column depends only on the base columns of its variable and
     conditioning set, so it is held once per distinct combination of those
@@ -268,6 +308,9 @@ class _Columns:
             up = np.asarray(m.cdf(values), dtype=float)
             lo = np.asarray(m.cdf_left(values), dtype=float) if m.is_discrete else None
             self._cols[(j, frozenset())] = (self._varying({j}), up, lo)
+        # what an edge sees for a side no edge reads: a constant on the one
+        # combination of no varying column (no combination when there are no rows)
+        self._unread = (frozenset(), np.full(min(self._n, 1), 0.5), None)
 
     def _varying(self, columns) -> frozenset:
         return frozenset(j for j in columns if self._distinct[j][0].size > 1)
@@ -302,7 +345,7 @@ class _Columns:
         """The pair of an edge's conditioned variables given its conditioning
         set, on the distinct combinations of the edge's varying columns, and
         each row's combination."""
-        sides = [self._cols[(j, edge.conditioning)] for j in edge.conditioned]
+        sides = self._sides(edge)
         keys = [self._key(t) for t, _, _ in sides]
         s = sides[0][0] | sides[1][0]
         inverse, first = self._key(s, keys)
@@ -315,13 +358,18 @@ class _Columns:
         (up, ulo), (vp, vlo) = gathered
         return PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None), inverse
 
-    def store(self, edge: Edge, u_given: tuple, v_given: tuple) -> None:
+    def _sides(self, edge: Edge) -> list:
+        return [self._cols.get((j, edge.conditioning), self._unread) for j in edge.conditioned]
+
+    def store(self, edge: Edge, u_given, v_given) -> None:
         """Keep an edge's conditioned sides, on the combinations of
-        :meth:`pair`, as two columns of the next tree."""
-        a, b = edge.conditioned
-        s = self._varying(edge.all_vars)
-        self._cols[(a, edge.conditioning | {b})] = (s, *u_given)
-        self._cols[(b, edge.conditioning | {a})] = (s, *v_given)
+        :meth:`pair`, as two columns of the next tree; a None side is not
+        kept."""
+        u_side, v_side = self._sides(edge)
+        s = u_side[0] | v_side[0]
+        for out, given in zip(_outputs(edge), (u_given, v_given)):
+            if given is not None:
+                self._cols[out] = (s, *given)
 
 
 def _edge_candidates(families, rotation_tau: float, any_discrete: bool, binary: bool):
@@ -455,7 +503,8 @@ def fit_vine(
         raise TooFewObservations(f"vine fit needs at least {MIN_ROWS} rows, got {n}")
     if d != structure.d or len(margins) != d:
         raise ValueError("margins/structure dimension mismatch")
-    cols = _Columns(margins, _distinct_columns(x))
+    cols = _Columns(margins, distinct_columns(x))
+    discrete = [m.is_discrete for m in margins]
     trees: list[list[FittedEdge]] = []
     truncation = 0
     for level, tree in enumerate(structure.trees, start=1):
@@ -471,8 +520,10 @@ def fit_vine(
         elif config.truncation_search == "greedy":
             break
         if level < len(structure.trees):
+            read = _read_columns([[(e, False) for e in structure.trees[level]]], discrete)
             for fe, (obs, _) in zip(fitted, pairs):
-                cols.store(fe.edge, *bicop_condition(fe.bicop, obs)[1:])
+                sides = [out in read for out in _outputs(fe.edge)]
+                cols.store(fe.edge, *bicop_condition(fe.bicop, obs, sides)[1:])
     trees = trees[:truncation]
     return VineModel(
         margins=margins,
@@ -484,20 +535,31 @@ def fit_vine(
     )
 
 
-def vine_logdensity(model: VineModel, x: np.ndarray) -> np.ndarray:
-    """Log joint density (mixed density/mass) at each row of ``x``."""
+def vine_logdensity(model: VineModel, x: np.ndarray, distinct=None) -> np.ndarray:
+    """Log joint density (mixed density/mass) at each row of ``x``.
+
+    ``distinct`` is :func:`distinct_columns` of ``x``, for a caller that
+    scores the same rows under several vines; it is computed when not given.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.d:
         raise ValueError(f"expected {model.d} columns, got {x.shape[1]}")
-    distinct = _distinct_columns(x)
+    distinct = distinct_columns(x) if distinct is None else distinct
     logf = np.zeros(x.shape[0])
     for m, (values, _, inverse) in zip(model.margins, distinct):
         dens = np.asarray(m.pdf(values), dtype=float)
         logf += np.log(np.maximum(dens, CONTRIB_FLOOR))[inverse]
     cols = _Columns(model.margins, distinct)
+    read = _read_columns(
+        [[(fe.edge, fe.bicop.family == "indep") for fe in tree] for tree in model.trees],
+        [m.is_discrete for m in model.margins],
+    )
     for fe in model.all_edges():
+        if not any((j, fe.edge.conditioning) in read for j in fe.edge.conditioned):
+            continue  # independence of two continuous sides, passed on to no one: 0
         obs, inverse = cols.pair(fe.edge)
-        contrib, u_given, v_given = bicop_condition(fe.bicop, obs)
+        sides = [out in read for out in _outputs(fe.edge)]
+        contrib, u_given, v_given = bicop_condition(fe.bicop, obs, sides)
         logf += contrib[inverse]
         cols.store(fe.edge, u_given, v_given)
     return logf

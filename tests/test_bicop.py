@@ -1037,9 +1037,9 @@ def test_condition_matches_former_vine_route(family, rotation, u_disc, v_disc, t
 @pytest.mark.parametrize(
     "u_disc,v_disc,calls",
     [
-        (True, True, {"_cdf": 4}),
-        (True, False, {"_hfunc": 2, "_cdf": 2}),
-        (False, True, {"_hfunc": 2, "_cdf": 2}),
+        (True, True, {"_cdf": 1}),
+        (True, False, {"_hfunc": 1, "_cdf": 1}),
+        (False, True, {"_hfunc": 1, "_cdf": 1}),
         (False, False, {"_logpdf": 1, "_hfunc": 2}),
     ],
 )

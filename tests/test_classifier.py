@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -276,6 +277,15 @@ class TestFitClassifier:
         model.save(path)
         back = ClassifierModel.load(path)
         assert back.classes == model.classes
+        assert_array_equal(posterior(back, train.x), posterior(model, train.x))
+
+    def test_saved_file_is_the_json_text_of_the_model(self, tmp_path):
+        train = _two_class_data(n_per_class=60, seed=8)
+        model = fit_classifier(train, FitConfig())
+        path = tmp_path / "model.json"
+        model.save(path)
+        assert path.read_bytes() == json.dumps(model.to_dict()).encode()
+        back = ClassifierModel.load(path)
         assert_array_equal(posterior(back, train.x), posterior(model, train.x))
 
     def test_priors_must_normalize(self):

@@ -1040,9 +1040,9 @@ class TestEdgeDedup:
         )
         seen = []
 
-        def counting(cop, obs):
+        def counting(cop, obs, sides):
             seen.append(obs.n)
-            return bicop_condition(cop, obs)
+            return bicop_condition(cop, obs, sides)
 
         monkeypatch.setattr(vine_module, "bicop_condition", counting)
         names = [_DEDUP_NAMES[j] for j in grid_cols]
@@ -1051,9 +1051,203 @@ class TestEdgeDedup:
             model, base, *(GridSpec.linspace(n, -2.0, 2.0, 100) for n in names)
         )
         assert surface.probs.shape == (100, 100)
-        expected = [100 ** len(e.all_vars & set(grid_cols)) for e in edges]
+        # an edge is scored on the grid columns of the sides it reads, and
+        # a column is held on those of the sides that made it
+        expected = []
+        for vine in model.vines:
+            read = _vine_read_columns(vine)
+            held = {(j, frozenset()): {j} for j in range(vine.d)}
+            for fe in vine.all_edges():
+                ins = [(j, fe.edge.conditioning) for j in fe.edge.conditioned]
+                if not any(key in read for key in ins):
+                    continue
+                s = set().union(*(held[key] for key in ins if key in read or not key[1]))
+                held.update((out, s) for out in vine_module._outputs(fe.edge) if out in read)
+                expected.append(100 ** len(s & set(grid_cols)))
         assert seen == expected
         assert {1, 100, 10_000} <= set(expected)
+
+
+def _vine_read_columns(vine):
+    return vine_module._read_columns(
+        [[(fe.edge, fe.bicop.family == "indep") for fe in tree] for tree in vine.trees],
+        [m.is_discrete for m in vine.margins],
+    )
+
+
+def _col(j, *cond):
+    return (j, frozenset(cond))
+
+
+def _c_structure(order):
+    """C-vine: tree t joins its root ``order[t - 1]`` to every later
+    variable, given the earlier roots."""
+    return VineStructure(
+        d=len(order),
+        trees=[
+            [Edge((root, j), frozenset(order[:t])) for j in order[t + 1 :]]
+            for t, root in enumerate(order[:-1])
+        ],
+    )
+
+
+def _hand_vine(structure, families, truncation=None):
+    """The edges of ``structure`` with the given copulas, tree by tree, on
+    margins of ``_dedup_cohort``: three kernel, then two ordinal."""
+    x = _dedup_cohort(1, 250)
+    margins = [KernelMargin.fit(x[:, j]) for j in range(3)]
+    margins += [OrdinalMargin.fit(x[:, 3], 4), OrdinalMargin.fit(x[:, 4], 3)]
+    trees = [
+        [FittedEdge(e, cop, 0.0, 0.0) for e, cop in zip(tree, cops)]
+        for tree, cops in zip(structure.trees, families)
+    ][:truncation]
+    return VineModel(margins, structure, trees, len(trees), 250, 0.9)
+
+
+def _cop(family, param, rotation=0):
+    return Bicop(family, rotation, (param,))
+
+
+# Variables 0-2 are continuous and 3-4 ordinal.  Every level with more than
+# one edge has independence edges, marked by their sides: two continuous
+# (cc), a continuous and a discrete one (cd) or two discrete (dd).
+_D_VINE = (
+    _chain_structure(5),
+    [
+        # (0,1) (1,2) (2,3) (3,4)
+        [_cop("gaussian", 0.5), INDEP, _cop("clayton", 1.5), INDEP],  # cc, dd
+        # (0,2;1) (1,3;2) (2,4;3)
+        [INDEP, _cop("frank", 3.0), INDEP],  # cc, cd
+        # (0,3;12) (1,4;23)
+        [_cop("gumbel", 1.6), INDEP],  # cd
+        # (0,4;123)
+        [_cop("joe", 1.4)],
+    ],
+)
+_C_VINE = (
+    _c_structure((0, 3, 1, 4, 2)),
+    [
+        # (0,3) (0,1) (0,4) (0,2)
+        [INDEP, _cop("gaussian", 0.6), _cop("gumbel", 1.5, 90), INDEP],  # cd, cc
+        # (1,3;0) (3,4;0) (2,3;0)
+        [INDEP, INDEP, _cop("frank", -2.0)],  # cd, dd
+        # (1,4;03) (1,2;03)
+        [_cop("clayton", 1.2, 270), INDEP],  # cc
+        # (2,4;013)
+        [_cop("gaussian", 0.3)],
+    ],
+)
+_BASE = {(j, frozenset()) for j in range(5)}
+
+
+class TestReadTable:
+    def test_d_vine(self):
+        read = _vine_read_columns(_hand_vine(*_D_VINE))
+        assert read == _BASE | {
+            # (0,2;1) passes 0|1 on to 0|12; (2,4;3) reads its discrete 4|3 only
+            _col(0, 1), _col(1, 2), _col(3, 2), _col(4, 3),
+            # (1,4;23) reads its discrete 4|23, not 1|23
+            _col(0, 1, 2), _col(3, 1, 2), _col(4, 2, 3),
+            _col(0, 1, 2, 3), _col(4, 1, 2, 3),
+        }
+
+    def test_truncated_d_vine(self):
+        read = _vine_read_columns(_hand_vine(*_D_VINE, truncation=2))
+        # (0,2;1) is independent, continuous and feeds nothing: it reads nothing
+        assert read == _BASE | {_col(1, 2), _col(3, 2), _col(4, 3)}
+
+    def test_c_vine(self):
+        read = _vine_read_columns(_hand_vine(*_C_VINE))
+        assert read == _BASE | {
+            # (1,3;0) passes 1|0 on to 1|03 and reads its discrete 3|0
+            _col(1, 0), _col(2, 0), _col(3, 0), _col(4, 0),
+            # (1,2;03) passes 2|03 on to 2|013, not 1|03, which (1,4;03) reads
+            _col(1, 0, 3), _col(2, 0, 3), _col(4, 0, 3),
+            _col(2, 0, 1, 3), _col(4, 0, 1, 3),
+        }
+
+    def test_nothing_reads_the_last_tree(self):
+        for structure, families in (_D_VINE, _C_VINE):
+            for truncation in range(1, 5):
+                vine = _hand_vine(structure, families, truncation)
+                read = _vine_read_columns(vine)
+                for fe in vine.trees[-1]:
+                    assert not set(vine_module._outputs(fe.edge)) & read
+
+    @pytest.mark.parametrize("truncation", [1, 2, 3, 4])
+    @pytest.mark.parametrize("vine", ["d", "c"])
+    def test_scoring_matches_the_row_traversal(self, vine, truncation):
+        model = _hand_vine(*{"d": _D_VINE, "c": _C_VINE}[vine], truncation)
+        grids = [_grid_rows(g) for g in _GRIDS.values()]
+        one = _dedup_cohort(7, 1)
+        for x in (*grids, _dedup_cohort(4, 300), one, one[:0]):
+            assert_array_equal(vine_logdensity(model, x), _traverse_rows(model, x))
+
+    @pytest.mark.parametrize("truncation", [None, 2])
+    def test_only_read_sides_are_computed(self, monkeypatch, truncation):
+        model = _hand_vine(*_D_VINE, truncation)
+        read = _vine_read_columns(model)
+        asked = []
+
+        def recording(cop, obs, sides):
+            out = bicop_condition(cop, obs, sides)
+            asked.append((list(sides), [g is not None for g in out[1:]]))
+            return out
+
+        monkeypatch.setattr(vine_module, "bicop_condition", recording)
+        vine_logdensity(model, _grid_rows(_GRIDS["continuous x ordinal"]))
+        edges = [fe.edge for fe in model.all_edges()]
+        if truncation == 2:
+            # (0,2;1), independent with two continuous sides, feeds nothing
+            edges.remove(Edge((0, 2), {1}))
+        assert len(asked) == len(edges)
+        for edge, (sides, given) in zip(edges, asked):
+            assert sides == given == [out in read for out in vine_module._outputs(edge)]
+
+    def test_fitting_conditions_the_sides_of_the_next_tree(self, monkeypatch):
+        x = _dedup_cohort(8, 300)
+        margins = [KernelMargin.fit(x[:, j]) for j in range(3)]
+        margins += [OrdinalMargin.fit(x[:, 3], 4), OrdinalMargin.fit(x[:, 4], 3)]
+        structure = select_structure(np.corrcoef(x, rowvar=False))
+        asked = []
+
+        def recording(cop, obs, sides):
+            asked.append(list(sides))
+            return bicop_condition(cop, obs, sides)
+
+        monkeypatch.setattr(vine_module, "bicop_condition", recording)
+        model = fit_vine(x, margins, structure, FitConfig())
+        # every fitted tree but the last is conditioned for the next
+        levels = min(model.truncation, len(structure.trees) - 1)
+        assert levels >= 2
+        want = []
+        for tree, following in zip(structure.trees[:levels], structure.trees[1:]):
+            sides = {(j, e.conditioning) for e in following for j in e.conditioned}
+            want += [[out in sides for out in vine_module._outputs(e)] for e in tree]
+        assert asked == want
+        assert any(False in w for w in want)
+
+
+def _with_side(obs, side, plus):
+    """``obs`` with one continuous side's values replaced by ``plus``."""
+    u_plus, v_plus = (plus, obs.v_plus) if side == 0 else (obs.u_plus, plus)
+    minus = (obs.u_minus if obs.u_disc else None, obs.v_minus if obs.v_disc else None)
+    return PairObs(u_plus, v_plus, *minus, u_disc=obs.u_disc, v_disc=obs.v_disc)
+
+
+@pytest.mark.parametrize("u_disc,v_disc", [(False, False), (True, False), (False, True)])
+def test_independence_ignores_the_values_of_a_continuous_side(u_disc, v_disc):
+    rng = np.random.default_rng(12)
+    up, vp = rng.uniform(size=(2, 200))
+    ulo, vlo = up * rng.uniform(size=200), vp * rng.uniform(size=200)
+    obs = PairObs(up, vp, ulo if u_disc else None, vlo if v_disc else None, u_disc, v_disc)
+    contrib, *given = bicop_condition(INDEP, obs)
+    for side in [s for s, disc in enumerate((u_disc, v_disc)) if not disc]:
+        for constant in (EPS, 0.3, 0.5, 1.0 - EPS):
+            got, *got_given = bicop_condition(INDEP, _with_side(obs, side, np.full(200, constant)))
+            assert_array_equal(got, contrib)
+            other = 1 - side
+            assert_array_equal(got_given[other][0], given[other][0])
 
 
 def _fit_rows(x, margins, structure, config):
