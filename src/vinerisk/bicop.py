@@ -18,7 +18,10 @@ in the package: :func:`kendall_tau_b` takes ``scipy.stats.kendalltau``'s
 steps with a merge-sort count of discordant pairs, and the Frank tau's
 Debye integral is a fixed 64-node Gauss-Legendre rule.  The bounded search
 of :func:`bicop_fit` and the Joe and Frank tau inversions are Brent's
-methods in :mod:`vinerisk.optim`.  So the module needs only
+methods in :mod:`vinerisk.optim`.  A one-parameter family's search covers
+the parameters whose tau is within ``TAU_HALF_WIDTH`` of the start's, and
+its whole bounds only when the optimum lands on an inner end of that
+interval; the Student-t's searches log nu.  So the module needs only
 ``scipy.special``; importing scipy's statistics, integration and
 optimisation subpackages would add most of a second to every ``vinerisk``
 command.
@@ -37,6 +40,15 @@ h-function or its inverse also mirrors its output (``1 - x``) exactly when
 its target argument is mirrored.  Mirroring one axis negates Kendall's tau
 (:func:`rotated_tau`); 180 is the survival copula.
 
+Each family's ``logpdf``, ``cdf`` and ``hfunc`` is split in two: the
+transforms of its arguments that no parameter enters (:class:`_Args`:
+``log u``, ``log(-log u)``, ``log1p(-u)``, ``ndtri(u)``, Frank's fold),
+and a kernel that takes them with the parameters.  A pair's likelihood
+arguments, the mirrored and stacked corners, and their transforms are
+prepared once per fit (:meth:`PairObs.prepare`), so each step of the
+search evaluates only the kernel.  The transforms are the subexpressions
+the kernels would compute in place, so the values are the same to the bit.
+
 Likelihood contributions for pairs with discrete components use CDF finite
 differences: one-sided differences of the conditional CDF when one side is
 discrete and rectangle probabilities when both are, each over the discrete
@@ -47,8 +59,10 @@ step: :func:`bicop_condition`.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -68,6 +82,14 @@ LOG_FLOOR = math.log(CONTRIB_FLOOR)
 
 #: Floor for a discrete side's probability mass, the denominator of its conditional CDFs.
 MASS_FLOOR = 1e-12
+
+#: :func:`bicop_fit`'s search: the half-width in Kendall's tau of a
+#: one-parameter family's interval around its start, the share of the
+#: interval's width within which an optimum at an inner end widens the
+#: search to the family's bounds, and the Student-t's tolerance in log nu.
+TAU_HALF_WIDTH = 0.1
+EDGE_SHARE = 1e-3
+LOG_NU_XATOL = 1e-3
 
 #: Families that admit rotations (asymmetric, positive-dependence base form).
 ROTATABLE = ("clayton", "gumbel", "joe")
@@ -160,25 +182,85 @@ def rotated_tau(tau: float, rotation: int) -> float:
 #   tau(p) / par_from_tau(tau)
 # and ``bounds``, one (lower, upper) pair per parameter.  Tau at the lower and
 # at the upper bounds spans the attainable interval (:func:`family_tau_range`).
+#
+# logpdf, cdf and hfunc each prepare, then run a kernel: ``_Args`` holds the
+# two arguments and the transforms of them that no parameter enters, and
+# logpdf_k, cdf_k and hfunc_k take it with the parameters.  A fit prepares
+# once and runs the kernel at every step of its search.
 # ---------------------------------------------------------------------------
 
 
-class _Indep:
+class _Args:
+    """The two arguments of a family kernel, ``u`` and ``v`` (``x`` and
+    ``y`` of an h-function), and their parameter-free transforms, each a
+    ``(of u, of v)`` pair computed on first use and then kept.  Each
+    transform is a whole subexpression of the kernels, so a kernel's value
+    does not depend on whether its transforms were computed for its call
+    or kept from an earlier one."""
+
+    def __init__(self, u, v):
+        self.u, self.v = u, v
+
+    @cached_property
+    def log(self):
+        return np.log(self.u), np.log(self.v)
+
+    @cached_property
+    def loglog(self):
+        # log(-log u), Gumbel's
+        lu, lv = self.log
+        return np.log(-lu), np.log(-lv)
+
+    @cached_property
+    def log1m(self):
+        # log(1 - u), Joe's
+        return np.log1p(-self.u), np.log1p(-self.v)
+
+    @cached_property
+    def ndtri(self):
+        return ndtri(self.u), ndtri(self.v)
+
+    @cached_property
+    def fold(self):
+        # Frank's: (mask of u + v > 1, u and v mirrored there, their sum)
+        up = self.u + self.v > 1.0
+        a, b = np.where(up, 1.0 - self.u, self.u), np.where(up, 1.0 - self.v, self.v)
+        return up, a, b, a + b
+
+
+class _Family:
+    """A family's ``logpdf``, ``cdf`` and ``hfunc``: its kernel on freshly
+    prepared :class:`_Args`."""
+
+    @classmethod
+    def logpdf(cls, u, v, p):
+        return cls.logpdf_k(_Args(u, v), p)
+
+    @classmethod
+    def cdf(cls, u, v, p):
+        return cls.cdf_k(_Args(u, v), p)
+
+    @classmethod
+    def hfunc(cls, x, y, p):
+        return cls.hfunc_k(_Args(x, y), p)
+
+
+class _Indep(_Family):
     name = "indep"
     npar = 0
     bounds = ()
 
     @staticmethod
-    def logpdf(u, v, p):
-        return np.zeros(np.broadcast(u, v).shape)
+    def logpdf_k(t, p):
+        return np.zeros(np.broadcast(t.u, t.v).shape)
 
     @staticmethod
-    def cdf(u, v, p):
-        return u * v
+    def cdf_k(t, p):
+        return t.u * t.v
 
     @staticmethod
-    def hfunc(x, y, p):
-        return np.broadcast_to(x, np.broadcast(x, y).shape).astype(float)
+    def hfunc_k(t, p):
+        return np.broadcast_to(t.u, np.broadcast(t.u, t.v).shape).astype(float)
 
     @staticmethod
     def hinv(q, y, p):
@@ -193,28 +275,29 @@ class _Indep:
         raise ValueError("independence copula has no parameter")
 
 
-class _Gaussian:
+class _Gaussian(_Family):
     name = "gaussian"
     npar = 1
     bounds = ((-0.9999, 0.9999),)
 
     @staticmethod
-    def logpdf(u, v, p):
+    def logpdf_k(t, p):
         rho = p[0]
-        x, y = ndtri(u), ndtri(v)
+        x, y = t.ndtri
         r2 = 1.0 - rho * rho
         return -0.5 * math.log(r2) + (
             2.0 * rho * x * y - rho * rho * (x * x + y * y)
         ) / (2.0 * r2)
 
     @staticmethod
-    def cdf(u, v, p):
-        return bvn_cdf(ndtri(u), ndtri(v), p[0])
+    def cdf_k(t, p):
+        return bvn_cdf(*t.ndtri, p[0])
 
     @staticmethod
-    def hfunc(x, y, p):
+    def hfunc_k(t, p):
         rho = p[0]
-        return ndtr((ndtri(x) - rho * ndtri(y)) / math.sqrt(1.0 - rho * rho))
+        x, y = t.ndtri
+        return ndtr((x - rho * y) / math.sqrt(1.0 - rho * rho))
 
     @staticmethod
     def hinv(q, y, p):
@@ -265,16 +348,16 @@ class _StudentT(_Gaussian):
     """Shares the Gaussian's tau map: Kendall's tau of the t depends on rho
     alone.  The CDF is the scale mixture of the module docstring, summed one
     node at a time so its temporaries grow with the points, not points x
-    nodes."""
+    nodes.  Its quantiles depend on nu, so its kernels keep no transform."""
 
     name = "studentt"
     npar = 2
     bounds = ((-0.999, 0.999), (2.05, 30.0))
 
     @staticmethod
-    def logpdf(u, v, p):
+    def logpdf_k(t, p):
         rho, nu = p
-        x, y = stdtrit(nu, u), stdtrit(nu, v)
+        x, y = stdtrit(nu, t.u), stdtrit(nu, t.v)
         r2 = 1.0 - rho * rho
         quad_form = (x * x - 2.0 * rho * x * y + y * y) / (nu * r2)
         log_joint = (
@@ -288,18 +371,18 @@ class _StudentT(_Gaussian):
         return log_joint - log_margs
 
     @staticmethod
-    def cdf(u, v, p):
+    def cdf_k(t, p):
         rho, nu = p
-        x, y = _t_quantile(nu, u), _t_quantile(nu, v)
+        x, y = _t_quantile(nu, t.u), _t_quantile(nu, t.v)
         out = np.zeros(np.broadcast(x, y).shape)
         for s, w in zip(*_t_mixture_rule(nu)):
             out += w * bvn_cdf(x * s, y * s, rho)
         return out[()]
 
     @staticmethod
-    def hfunc(x, y, p):
+    def hfunc_k(t, p):
         rho, nu = p
-        tx, ty = stdtrit(nu, x), stdtrit(nu, y)
+        tx, ty = stdtrit(nu, t.u), stdtrit(nu, t.v)
         scale = np.sqrt((1.0 - rho * rho) * (nu + ty * ty) / (nu + 1.0))
         return stdtr(nu + 1.0, (tx - rho * ty) / scale)
 
@@ -316,38 +399,40 @@ class _StudentT(_Gaussian):
         return (math.sin(math.pi * tau / 2.0), 5.0)
 
 
-class _Clayton:
+class _Clayton(_Family):
     name = "clayton"
     npar = 1
     bounds = ((1e-4, 28.0),)
 
     @staticmethod
-    def _log_gen_sum(u, v, theta):
+    def _log_gen_sum(t, theta):
         # log(u^-theta + v^-theta - 1), stable for tiny u, v
-        a = -theta * np.log(u)
-        b = -theta * np.log(v)
+        lu, lv = t.log
+        a = -theta * lu
+        b = -theta * lv
         m = np.maximum(a, b)
         return m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
 
     @classmethod
-    def logpdf(cls, u, v, p):
+    def logpdf_k(cls, t, p):
         theta = p[0]
-        la = cls._log_gen_sum(u, v, theta)
+        la = cls._log_gen_sum(t, theta)
+        lu, lv = t.log
         return (
             math.log1p(theta)
-            - (theta + 1.0) * (np.log(u) + np.log(v))
+            - (theta + 1.0) * (lu + lv)
             - (2.0 + 1.0 / theta) * la
         )
 
     @classmethod
-    def cdf(cls, u, v, p):
-        return np.exp(-cls._log_gen_sum(u, v, p[0]) / p[0])
+    def cdf_k(cls, t, p):
+        return np.exp(-cls._log_gen_sum(t, p[0]) / p[0])
 
     @classmethod
-    def hfunc(cls, x, y, p):
+    def hfunc_k(cls, t, p):
         theta = p[0]
-        la = cls._log_gen_sum(x, y, theta)
-        return np.exp(-(theta + 1.0) * np.log(y) - (1.0 + 1.0 / theta) * la)
+        la = cls._log_gen_sum(t, theta)
+        return np.exp(-(theta + 1.0) * t.log[1] - (1.0 + 1.0 / theta) * la)
 
     @staticmethod
     def hinv(q, y, p):
@@ -365,48 +450,49 @@ class _Clayton:
         return (2.0 * tau / (1.0 - tau),)
 
 
-class _Gumbel:
+class _Gumbel(_Family):
     name = "gumbel"
     npar = 1
     bounds = ((1.0, 20.0),)
 
     @staticmethod
-    def _log_s(u, v, delta):
+    def _log_s(t, delta):
         # log((-log u)^delta + (-log v)^delta)
-        a = delta * np.log(-np.log(u))
-        b = delta * np.log(-np.log(v))
+        lx, ly = t.loglog
+        a = delta * lx
+        b = delta * ly
         m = np.maximum(a, b)
         return m + np.log1p(np.exp(np.minimum(a, b) - m))
 
     @classmethod
-    def cdf(cls, u, v, p):
-        return np.exp(-np.exp(cls._log_s(u, v, p[0]) / p[0]))
+    def cdf_k(cls, t, p):
+        return np.exp(-np.exp(cls._log_s(t, p[0]) / p[0]))
 
     @classmethod
-    def logpdf(cls, u, v, p):
+    def logpdf_k(cls, t, p):
         delta = p[0]
-        lx = np.log(-np.log(u))
-        ly = np.log(-np.log(v))
-        ls = cls._log_s(u, v, delta)
+        lx, ly = t.loglog
+        lu, lv = t.log
+        ls = cls._log_s(t, delta)
         s_pow = np.exp(ls / delta)
         return (
             -s_pow
-            - np.log(u)
-            - np.log(v)
+            - lu
+            - lv
             + (delta - 1.0) * (lx + ly)
             + (1.0 / delta - 2.0) * ls
             + np.log(s_pow + delta - 1.0)
         )
 
     @classmethod
-    def hfunc(cls, x, y, p):
+    def hfunc_k(cls, t, p):
         delta = p[0]
-        ls = cls._log_s(x, y, delta)
+        ls = cls._log_s(t, delta)
         log_h = (
             -np.exp(ls / delta)
-            + (delta - 1.0) * np.log(-np.log(y))
+            + (delta - 1.0) * t.loglog[1]
             + (1.0 / delta - 1.0) * ls
-            - np.log(y)
+            - t.log[1]
         )
         return np.exp(log_h)
 
@@ -421,11 +507,12 @@ class _Gumbel:
         return (1.0 / (1.0 - tau),)
 
 
-class _Frank:
+class _Frank(_Family):
     """Frank is radially symmetric, ``C(u, v) = u + v - 1 + C(1 - u, 1 - v)``.
     Its closed forms cancel catastrophically where ``u + v > 1`` at large
     theta (``g(1) + g(u) g(v)`` nears 0 as a difference of two terms near
-    1), so there they are evaluated at the mirrored point instead."""
+    1), so there they are evaluated at the mirrored point instead
+    (:attr:`_Args.fold`)."""
 
     name = "frank"
     npar = 1
@@ -435,34 +522,28 @@ class _Frank:
     def _g(x, theta):
         return np.expm1(-theta * x)
 
-    @staticmethod
-    def _lower(u, v):
-        # (mask of u + v > 1, u and v mirrored there)
-        up = u + v > 1.0
-        return up, np.where(up, 1.0 - u, u), np.where(up, 1.0 - v, v)
-
     @classmethod
-    def cdf(cls, u, v, p):
+    def cdf_k(cls, t, p):
         theta = p[0]
-        up, a, b = cls._lower(u, v)
+        up, a, b, _ = t.fold
         gu, gv, g1 = cls._g(a, theta), cls._g(b, theta), cls._g(1.0, theta)
         c = -np.log1p(gu * gv / g1) / theta
-        return np.where(up, u + v - 1.0 + c, c)[()]
+        return np.where(up, t.u + t.v - 1.0 + c, c)[()]
 
     @classmethod
-    def logpdf(cls, u, v, p):
+    def logpdf_k(cls, t, p):
         theta = p[0]
-        _, u, v = cls._lower(u, v)
+        _, u, v, uv = t.fold
         gu, gv, g1 = cls._g(u, theta), cls._g(v, theta), cls._g(1.0, theta)
         denom = -g1 - gu * gv
-        num = -theta * g1 * np.exp(-theta * (u + v))
+        num = -theta * g1 * np.exp(-theta * uv)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(num) - 2.0 * np.log(np.abs(denom))
 
     @classmethod
-    def hfunc(cls, x, y, p):
+    def hfunc_k(cls, t, p):
         theta = p[0]
-        up, a, b = cls._lower(x, y)
+        up, a, b, _ = t.fold
         gx, gy, g1 = cls._g(a, theta), cls._g(b, theta), cls._g(1.0, theta)
         h = np.exp(-theta * b) * gx / (g1 + gx * gy)
         return np.where(up, 1.0 - h, h)[()]
@@ -488,42 +569,45 @@ class _Frank:
         return (math.copysign(_frank_theta_abs(abs(tau)), tau),)
 
 
-class _Joe:
+class _Joe(_Family):
     name = "joe"
     npar = 1
     bounds = ((1.0, 30.0),)
 
     @staticmethod
-    def _log_t(u, v, delta):
+    def _log_t(t, delta):
         # log(ub^d + vb^d - ub^d * vb^d) with ub = 1-u, vb = 1-v
-        a = delta * np.log1p(-u)
-        b = delta * np.log1p(-v)
+        lu, lv = t.log1m
+        a = delta * lu
+        b = delta * lv
         m = np.maximum(a, b)
         return m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(a + b - m))
 
     @classmethod
-    def cdf(cls, u, v, p):
-        return 1.0 - np.exp(cls._log_t(u, v, p[0]) / p[0])
+    def cdf_k(cls, t, p):
+        return 1.0 - np.exp(cls._log_t(t, p[0]) / p[0])
 
     @classmethod
-    def logpdf(cls, u, v, p):
+    def logpdf_k(cls, t, p):
         delta = p[0]
-        lt = cls._log_t(u, v, delta)
+        lt = cls._log_t(t, delta)
+        lu, lv = t.log1m
         return (
             (1.0 / delta - 2.0) * lt
-            + (delta - 1.0) * (np.log1p(-u) + np.log1p(-v))
+            + (delta - 1.0) * (lu + lv)
             + np.log(delta - 1.0 + np.exp(lt))
         )
 
     @classmethod
-    def hfunc(cls, x, y, p):
+    def hfunc_k(cls, t, p):
         delta = p[0]
-        lt = cls._log_t(x, y, delta)
-        one_minus_xd = -np.expm1(delta * np.log1p(-x))
+        lt = cls._log_t(t, delta)
+        lx, ly = t.log1m
+        one_minus_xd = -np.expm1(delta * lx)
         with np.errstate(divide="ignore"):
             log_h = (
                 (1.0 / delta - 1.0) * lt
-                + (delta - 1.0) * np.log1p(-y)
+                + (delta - 1.0) * ly
                 + np.log(one_minus_xd)
             )
         return np.exp(log_h)
@@ -645,14 +729,21 @@ class Bicop:
     # -- core surface ------------------------------------------------------
     # The public methods clip their arguments into [EPS, 1 - EPS].  The
     # likelihood calls the unclipped ``_cdf``, ``_logpdf`` and ``_hfunc`` on
-    # ``PairObs`` columns, which are clipped once at construction.
+    # ``PairObs`` columns, which are clipped once at construction, and passes
+    # ``t``, the prepared family arguments of :meth:`PairObs.kernel_args`.
+    # Without ``t`` the family's own ``cdf``, ``logpdf`` or ``hfunc``
+    # prepares them from the mirrored arguments.
 
     def cdf(self, u, v):
         return self._cdf(_clip(u), _clip(v))
 
-    def _cdf(self, u, v):
+    def _cdf(self, u, v, t=None):
         flip_u, flip_v = REFLECTIONS[self.rotation]
-        c = _FAM[self.family].cdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
+        fam = _FAM[self.family]
+        if t is None:
+            c = fam.cdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
+        else:
+            c = fam.cdf_k(t, self.params)
         if flip_u and flip_v:
             return u + v - 1.0 + c
         if flip_u or flip_v:
@@ -662,10 +753,14 @@ class Bicop:
     def logpdf(self, u, v):
         return self._logpdf(_clip(u), _clip(v))
 
-    def _logpdf(self, u, v):
+    def _logpdf(self, u, v, t=None):
         flip_u, flip_v = REFLECTIONS[self.rotation]
+        fam = _FAM[self.family]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _FAM[self.family].logpdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
+            if t is None:
+                out = fam.logpdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
+            else:
+                out = fam.logpdf_k(t, self.params)
         out = np.asarray(out)
         finite = np.isfinite(out)
         if not finite.all():  # NaN and -inf to LOG_FLOOR, +inf to 700
@@ -690,9 +785,13 @@ class Bicop:
         """Conditional CDF: ``1|2`` is P(U <= u | V = v), ``2|1`` the reverse."""
         return self._hfunc(_clip(u), _clip(v), direction)
 
-    def _hfunc(self, u, v, direction):
-        target, cond, flip = self._target_first(u, v, direction)
-        out = _FAM[self.family].hfunc(target, cond, self.params)
+    def _hfunc(self, u, v, direction, t=None):
+        if t is None:
+            target, cond, flip = self._target_first(u, v, direction)
+            out = _FAM[self.family].hfunc(target, cond, self.params)
+        else:
+            flip = REFLECTIONS[self.rotation][direction == "2|1"]
+            out = _FAM[self.family].hfunc_k(t, self.params)
         return np.clip(_mirror(out, flip), 0.0, 1.0)
 
     def hinv(self, q, cond, direction="1|2"):
@@ -781,6 +880,8 @@ class PairObs:
     observed code (``*_plus``) and just below it (``*_minus``); for a
     continuous component the two coincide.  ``masses`` holds each discrete
     side's code probability ``plus - minus``, floored at ``MASS_FLOOR``.
+    ``prepared`` holds ``(rotation, kernel_args)`` on a pair made by
+    :meth:`prepare`, and None otherwise.
     """
 
     u_plus: np.ndarray
@@ -790,6 +891,7 @@ class PairObs:
     u_disc: bool = False
     v_disc: bool = False
     masses: tuple = field(init=False, repr=False)
+    prepared: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.u_plus = _clip(self.u_plus)
@@ -808,6 +910,42 @@ class PairObs:
     def midpoints(self):
         return 0.5 * (self.u_plus + self.u_minus), 0.5 * (self.v_plus + self.v_minus)
 
+    def kernel_args(self, rotation: int) -> tuple:
+        """``(u, v, t)``: the arguments :func:`_likelihood` passes to a
+        copula of ``rotation``, and ``t``, their prepared family arguments.
+
+        ``u`` and ``v`` stack a discrete side's (plus, minus) corners along
+        a leading axis; with both sides discrete they are ``(2, 1, n)`` and
+        ``(2, n)``, C's four corners.  ``t`` is :class:`_Args` of the two
+        mirrored as the rotation says, in the family kernel's order: the
+        target side first for an h-function (``v`` when only it is
+        discrete).  No parameter enters ``t``, so every family of the
+        rotation shares it.  A pair from :meth:`prepare` returns the
+        arguments it holds.
+        """
+        if self.prepared is not None and self.prepared[0] == rotation:
+            return self.prepared[1]
+        up, um, vp, vm = self.u_plus, self.u_minus, self.v_plus, self.v_minus
+        if self.u_disc and self.v_disc:
+            u, v = np.stack([up, um])[:, None], np.stack([vp, vm])
+        elif self.u_disc:
+            u, v = np.stack([up, um]), vp
+        elif self.v_disc:
+            u, v = up, np.stack([vp, vm])
+        else:
+            u, v = up, vp
+        flip_u, flip_v = REFLECTIONS[rotation]
+        mu, mv = _mirror(u, flip_u), _mirror(v, flip_v)
+        return u, v, _Args(mv, mu) if self.v_disc and not self.u_disc else _Args(mu, mv)
+
+    def prepare(self, rotation: int) -> "PairObs":
+        """This pair holding its :meth:`kernel_args` for ``rotation``, so
+        that every likelihood evaluated on it under that rotation reuses
+        the stacked, mirrored corners and their transforms."""
+        out = copy.copy(self)
+        out.prepared = (rotation, self.kernel_args(rotation))
+        return out
+
     def take(self, index) -> "PairObs":
         """The pair at ``index``, as if built from the sides taken there."""
         return PairObs(
@@ -825,22 +963,19 @@ def _likelihood(cop: Bicop, obs: PairObs) -> tuple:
     they are built from: the h-functions at a discrete side's (plus, minus)
     corners, C at the four corners ``(++, +-, -+, --)`` when both sides are
     discrete, none for a continuous pair.  Each corner set is one kernel
-    call, the corners stacked along a leading axis against the shared side:
-    the kernels are elementwise, so each corner is what a call of its own
-    gives."""
-    up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
+    call on :meth:`PairObs.kernel_args`, the corners stacked along a leading
+    axis against the shared side: the kernels are elementwise, so each
+    corner is what a call of its own gives."""
+    u, v, t = obs.kernel_args(cop.rotation)
     if obs.u_disc and obs.v_disc:
-        (cpp, cpm), (cmp_, cmm) = cop._cdf(np.stack([up, um])[:, None], np.stack([vp, vm]))
+        (cpp, cpm), (cmp_, cmm) = cop._cdf(u, v, t)
         terms = cpp, cpm, cmp_, cmm
         prob = cpp - cpm - cmp_ + cmm
-    elif obs.u_disc:
-        terms = tuple(cop._hfunc(np.stack([up, um]), vp, "1|2"))
-        prob = terms[0] - terms[1]
-    elif obs.v_disc:
-        terms = tuple(cop._hfunc(up, np.stack([vp, vm]), "2|1"))
+    elif obs.u_disc or obs.v_disc:
+        terms = tuple(cop._hfunc(u, v, "1|2" if obs.u_disc else "2|1", t))
         prob = terms[0] - terms[1]
     else:
-        return np.maximum(cop._logpdf(up, vp), LOG_FLOOR), ()
+        return np.maximum(cop._logpdf(u, v, t), LOG_FLOOR), ()
     contrib = np.log(np.maximum(prob, CONTRIB_FLOOR))
     for mass in obs.masses:
         if mass is not None:
@@ -1013,6 +1148,26 @@ def bicop_start(
     return cop, bicop_loglik(cop, obs)
 
 
+def _search_interval(family: str, start: Bicop) -> tuple[float, float]:
+    """The parameter interval whose base taus are the start's within
+    ``TAU_HALF_WIDTH``, clipped to the family's attainable tau range: an end
+    past that range is the family's bound.  A Frank end whose tau is too
+    close to 0 for its inversion (below the tau at theta = 1e-6) is theta =
+    0, independence, which the search never evaluates."""
+    fam = _FAM[family]
+    tau = fam.tau(start.params)
+    ends = []
+    for end, bound, tau_bound in zip((-1.0, 1.0), fam.bounds[0], family_tau_range(family)):
+        target = tau + end * TAU_HALF_WIDTH
+        if end * (target - tau_bound) >= 0.0:
+            ends.append(bound)
+        elif family == "frank" and abs(target) <= _frank_tau_abs(1e-6):
+            ends.append(0.0)
+        else:
+            ends.append(fam.par_from_tau(target)[0])
+    return ends[0], ends[1]
+
+
 def bicop_fit(
     family: str,
     rotation: int,
@@ -1026,11 +1181,21 @@ def bicop_fit(
     The search starts from ``start``, the :func:`bicop_start` of this
     family, rotation and ``obs`` when the caller already has it, and
     otherwise computes that start for ``tau``.  A bounded Brent search then
-    fits the last parameter with the others held at the start: the one
-    parameter of the one-parameter families, and for the Student-t the
-    degrees of freedom at the tau-inverted rho (a profile likelihood, as in
-    the ``itau`` estimator of Czado 2019, section 7).  The fit never
-    returns a likelihood below the start's.
+    fits the last parameter with the others held at the start:
+
+    - a one-parameter family searches the parameters whose Kendall tau is
+      within ``TAU_HALF_WIDTH`` of the start's, clipped to the family's
+      attainable taus (:func:`_search_interval`).  When the best point lies
+      within ``EDGE_SHARE`` of the interval's width of an end that is not
+      a family bound, the optimum may lie past it, and the search is run
+      again over the family's whole bounds;
+    - the Student-t searches log nu over the log of its bounds, to within
+      ``LOG_NU_XATOL``, at the tau-inverted rho (a profile likelihood, as
+      in the ``itau`` estimator of Czado 2019, section 7).
+
+    ``obs`` is prepared once (:meth:`PairObs.prepare`), so each step
+    evaluates only the family kernel, through :func:`bicop_loglik`.  The
+    fit never returns a likelihood below the start's.
     """
     if obs.n < MIN_ROWS:
         raise TooFewObservations(
@@ -1039,6 +1204,7 @@ def bicop_fit(
     if family == "indep":
         return INDEP, bicop_loglik(INDEP, obs)
     start_cop, start_ll = bicop_start(family, rotation, obs, tau) if start is None else start
+    obs = obs.prepare(rotation)
     fixed = start_cop.params[:-1]
 
     def neg_ll(t):
@@ -1048,7 +1214,20 @@ def bicop_fit(
             return np.inf
         return -bicop_loglik(cop, obs)
 
-    x, fx = minimize_bounded(neg_ll, *_FAM[family].bounds[-1])
+    lo, hi = _FAM[family].bounds[-1]
+    if family == "studentt":
+        s, fx = minimize_bounded(
+            lambda s: neg_ll(math.exp(s)), math.log(lo), math.log(hi), xatol=LOG_NU_XATOL
+        )
+        x = math.exp(s)
+    else:
+        a, b = _search_interval(family, start_cop)
+        x, fx = minimize_bounded(neg_ll, a, b)
+        margin = EDGE_SHARE * (b - a)
+        if (a != lo and x - a <= margin) or (b != hi and b - x <= margin):
+            wide = minimize_bounded(neg_ll, lo, hi)
+            if wide[1] < fx:
+                x, fx = wide
     if fx < -start_ll:
         return Bicop(family, rotation, fixed + (float(x),)), -float(fx)
     return start_cop, start_ll

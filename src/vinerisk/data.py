@@ -290,25 +290,23 @@ class Dataset:
         return parts
 
     def to_csv(self, path) -> None:
-        """Write the table; floats use repr precision so reload is exact."""
+        """Write the table; floats use repr precision so reload is exact.
+        Each column is formatted in one pass and the rows written at once."""
         header = list(self.schema.names)
+        columns = [
+            [str(int(v)) for v in col] if spec.is_ordinal else [format(v, ".17g") for v in col]
+            for spec, col in zip(self.schema.variables, self.x.T.tolist())
+        ]
         if self.schema.label is not None and self.labels is not None:
             header.append(self.schema.label)
+            columns.append([str(int(v)) for v in self.labels.tolist()])
         if self.schema.aux is not None and self.aux is not None:
             header.append(self.schema.aux)
+            columns.append([format(v, ".17g") for v in self.aux.tolist()])
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i in range(self.n):
-                row = []
-                for j, spec in enumerate(self.schema.variables):
-                    v = self.x[i, j]
-                    row.append(str(int(v)) if spec.is_ordinal else format(v, ".17g"))
-                if self.schema.label is not None and self.labels is not None:
-                    row.append(str(int(self.labels[i])))
-                if self.schema.aux is not None and self.aux is not None:
-                    row.append(format(self.aux[i], ".17g"))
-                writer.writerow(row)
+            writer.writerows(zip(*columns))
 
 
 def load_dataset(path, schema: Schema) -> Dataset:
@@ -334,26 +332,42 @@ def load_dataset(path, schema: Schema) -> Dataset:
             if header.count(want) > 1:
                 raise SchemaError(f"{path}: column {want!r} appears more than once in the header")
             col_index[want] = header.index(want)
-        rows = []
-        for irow, rec in enumerate(reader, start=1):
-            if not rec or all(cell.strip() == "" for cell in rec):
-                continue
-            if len(rec) != len(header):
-                raise NonNumericCell(
-                    f"{path}: data row {irow} has {len(rec)} cells, header has {len(header)}"
-                )
-            rows.append(
-                [_parse_cell(rec[col_index[name]], name, irow) for name in col_index]
-            )
-    if not rows:
+        # ``stop``: what ended the rows early, raised unless a row before it fails
+        records, row_numbers, stop = [], [], None
+        try:
+            for irow, rec in enumerate(reader, start=1):
+                if not rec or all(cell.strip() == "" for cell in rec):
+                    continue
+                if len(rec) != len(header):
+                    stop = NonNumericCell(
+                        f"{path}: data row {irow} has {len(rec)} cells, header has {len(header)}"
+                    )
+                    break
+                records.append(rec)
+                row_numbers.append(irow)
+        except csv.Error as exc:
+            stop = exc
+    columns = {}
+    try:
+        for name, k in col_index.items():
+            columns[name] = np.array([float(rec[k]) for rec in records], dtype=float)
+        parsed = all(np.isfinite(col).all() for col in columns.values())
+    except ValueError:
+        parsed = False
+    if not parsed:
+        # the first bad cell in row order raises, as a row-by-row parse meets it
+        for irow, rec in zip(row_numbers, records):
+            for name, k in col_index.items():
+                _parse_cell(rec[k], name, irow)
+    if stop is not None:
+        raise stop
+    if not records:
         raise EmptyDataset(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=float)
-    names = list(col_index)
-    x = table[:, [names.index(nm) for nm in schema.names]]
+    x = np.column_stack([columns[name] for name in schema.names])
     labels = None
     if schema.label is not None:
-        labels = table[:, names.index(schema.label)]
+        labels = columns[schema.label]
         _check_labels(labels)
         labels = labels.astype(int)
-    aux = table[:, names.index(schema.aux)] if schema.aux is not None else None
+    aux = columns[schema.aux] if schema.aux is not None else None
     return Dataset(schema=schema, x=x, labels=labels, aux=aux)

@@ -16,6 +16,7 @@ modules on every ``vinerisk`` command.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 _SQRT_EPS = math.sqrt(2.2e-16)  # fminbound's rounded machine epsilon
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -34,14 +35,17 @@ def _sign_or_one(d):
     return 1.0 if d >= 0 else -1.0
 
 
-def minimize_bounded(func, lo: float, hi: float):
+def minimize_bounded(func, lo: float, hi: float, xatol: Optional[float] = None):
     """Minimise ``func`` over ``[lo, hi]``: ``(x, func(x))`` at the best point
     evaluated.
 
     Golden-section steps safeguard parabolic interpolation; the search stops
     when the bracket around the best point is within ``2 * tol1`` of it,
-    ``tol1 = sqrt(eps) |x| + XATOL / 3``, or after ``MAXFUN`` evaluations.
+    ``tol1 = sqrt(eps) |x| + xatol / 3``, or after ``MAXFUN`` evaluations.
+    ``xatol`` is scipy's ``options={"xatol": ...}``, ``XATOL`` when not given.
     """
+    if xatol is None:
+        xatol = XATOL
     a, b = lo, hi
     fulc = a + _GOLDEN * (b - a)
     nfc, xf = fulc, fulc
@@ -52,7 +56,7 @@ def minimize_bounded(func, lo: float, hi: float):
 
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + XATOL / 3.0
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
     tol2 = 2.0 * tol1
 
     while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
@@ -103,7 +107,7 @@ def minimize_bounded(func, lo: float, hi: float):
                 fulc, ffulc = x, fu
 
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + XATOL / 3.0
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
         if num >= MAXFUN:
             break

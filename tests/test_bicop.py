@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
-from scipy.special import stdtr, stdtrit
+from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 
+from vinerisk import bicop as bicop_module
 from vinerisk.bicop import (
     CONTRIB_FLOOR,
     EPS,
@@ -18,13 +19,16 @@ from vinerisk.bicop import (
     LOG_FLOOR,
     MASS_FLOOR,
     PairObs,
+    REFLECTIONS,
     ROTATABLE,
     ROTATIONS,
+    TAU_HALF_WIDTH,
     Bicop,
     bicop_condition,
     bicop_contributions,
     bicop_fit,
     bicop_loglik,
+    bicop_start,
     empirical_tau,
     family_tau_range,
     tau_to_param,
@@ -33,8 +37,13 @@ from vinerisk.bicop import (
     _frank_tau_abs,
     _joe_tau,
     _newton_hinv,
+    _search_interval,
+    _t_mixture_rule,
+    _t_quantile,
 )
+from vinerisk.bvn import bvn_cdf
 from vinerisk.errors import NoConvergence
+from vinerisk.optim import minimize_bounded
 from vinerisk.margins import OrdinalMargin
 
 ALL_COMBOS = [("gaussian", 0), ("studentt", 0), ("frank", 0)] + [
@@ -1116,3 +1125,484 @@ def test_scalar_arguments_give_scalars(family, rotation):
         cop.hinv(0.3, 0.6, "2|1"),
     )
     assert [np.shape(r) for r in results] == [()] * len(results)
+
+
+# ---------------------------------------------------------------------------
+# the prepared kernels against the family formulas they were split from
+# ---------------------------------------------------------------------------
+#
+# Each family's logpdf, cdf and hfunc as written before they were split into
+# parameter-free transforms (``_Args``) and a kernel, with the copula
+# methods, likelihood and conditioning built on them the same way.  The split
+# keeps every expression's association order, so the two agree to the bit.
+
+
+class _RefIndep:
+    @staticmethod
+    def logpdf(u, v, p):
+        return np.zeros(np.broadcast(u, v).shape)
+
+    @staticmethod
+    def cdf(u, v, p):
+        return u * v
+
+    @staticmethod
+    def hfunc(x, y, p):
+        return np.broadcast_to(x, np.broadcast(x, y).shape).astype(float)
+
+
+class _RefGaussian:
+    @staticmethod
+    def logpdf(u, v, p):
+        rho = p[0]
+        x, y = ndtri(u), ndtri(v)
+        r2 = 1.0 - rho * rho
+        return -0.5 * math.log(r2) + (
+            2.0 * rho * x * y - rho * rho * (x * x + y * y)
+        ) / (2.0 * r2)
+
+    @staticmethod
+    def cdf(u, v, p):
+        return bvn_cdf(ndtri(u), ndtri(v), p[0])
+
+    @staticmethod
+    def hfunc(x, y, p):
+        rho = p[0]
+        return ndtr((ndtri(x) - rho * ndtri(y)) / math.sqrt(1.0 - rho * rho))
+
+
+class _RefStudentT:
+    @staticmethod
+    def logpdf(u, v, p):
+        rho, nu = p
+        x, y = stdtrit(nu, u), stdtrit(nu, v)
+        r2 = 1.0 - rho * rho
+        quad_form = (x * x - 2.0 * rho * x * y + y * y) / (nu * r2)
+        log_joint = (
+            gammaln((nu + 2.0) / 2.0)
+            + gammaln(nu / 2.0)
+            - 2.0 * gammaln((nu + 1.0) / 2.0)
+            - 0.5 * math.log(r2)
+        )
+        log_joint = log_joint - (nu + 2.0) / 2.0 * np.log1p(quad_form)
+        log_margs = -(nu + 1.0) / 2.0 * (np.log1p(x * x / nu) + np.log1p(y * y / nu))
+        return log_joint - log_margs
+
+    @staticmethod
+    def cdf(u, v, p):
+        rho, nu = p
+        x, y = _t_quantile(nu, u), _t_quantile(nu, v)
+        out = np.zeros(np.broadcast(x, y).shape)
+        for s, w in zip(*_t_mixture_rule(nu)):
+            out += w * bvn_cdf(x * s, y * s, rho)
+        return out[()]
+
+    @staticmethod
+    def hfunc(x, y, p):
+        rho, nu = p
+        tx, ty = stdtrit(nu, x), stdtrit(nu, y)
+        scale = np.sqrt((1.0 - rho * rho) * (nu + ty * ty) / (nu + 1.0))
+        return stdtr(nu + 1.0, (tx - rho * ty) / scale)
+
+
+class _RefClayton:
+    @staticmethod
+    def _log_gen_sum(u, v, theta):
+        a = -theta * np.log(u)
+        b = -theta * np.log(v)
+        m = np.maximum(a, b)
+        return m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
+
+    @classmethod
+    def logpdf(cls, u, v, p):
+        theta = p[0]
+        la = cls._log_gen_sum(u, v, theta)
+        return (
+            math.log1p(theta)
+            - (theta + 1.0) * (np.log(u) + np.log(v))
+            - (2.0 + 1.0 / theta) * la
+        )
+
+    @classmethod
+    def cdf(cls, u, v, p):
+        return np.exp(-cls._log_gen_sum(u, v, p[0]) / p[0])
+
+    @classmethod
+    def hfunc(cls, x, y, p):
+        theta = p[0]
+        la = cls._log_gen_sum(x, y, theta)
+        return np.exp(-(theta + 1.0) * np.log(y) - (1.0 + 1.0 / theta) * la)
+
+
+class _RefGumbel:
+    @staticmethod
+    def _log_s(u, v, delta):
+        a = delta * np.log(-np.log(u))
+        b = delta * np.log(-np.log(v))
+        m = np.maximum(a, b)
+        return m + np.log1p(np.exp(np.minimum(a, b) - m))
+
+    @classmethod
+    def cdf(cls, u, v, p):
+        return np.exp(-np.exp(cls._log_s(u, v, p[0]) / p[0]))
+
+    @classmethod
+    def logpdf(cls, u, v, p):
+        delta = p[0]
+        lx = np.log(-np.log(u))
+        ly = np.log(-np.log(v))
+        ls = cls._log_s(u, v, delta)
+        s_pow = np.exp(ls / delta)
+        return (
+            -s_pow
+            - np.log(u)
+            - np.log(v)
+            + (delta - 1.0) * (lx + ly)
+            + (1.0 / delta - 2.0) * ls
+            + np.log(s_pow + delta - 1.0)
+        )
+
+    @classmethod
+    def hfunc(cls, x, y, p):
+        delta = p[0]
+        ls = cls._log_s(x, y, delta)
+        log_h = (
+            -np.exp(ls / delta)
+            + (delta - 1.0) * np.log(-np.log(y))
+            + (1.0 / delta - 1.0) * ls
+            - np.log(y)
+        )
+        return np.exp(log_h)
+
+
+class _RefFrank:
+    @staticmethod
+    def _g(x, theta):
+        return np.expm1(-theta * x)
+
+    @staticmethod
+    def _lower(u, v):
+        up = u + v > 1.0
+        return up, np.where(up, 1.0 - u, u), np.where(up, 1.0 - v, v)
+
+    @classmethod
+    def cdf(cls, u, v, p):
+        theta = p[0]
+        up, a, b = cls._lower(u, v)
+        gu, gv, g1 = cls._g(a, theta), cls._g(b, theta), cls._g(1.0, theta)
+        c = -np.log1p(gu * gv / g1) / theta
+        return np.where(up, u + v - 1.0 + c, c)[()]
+
+    @classmethod
+    def logpdf(cls, u, v, p):
+        theta = p[0]
+        _, u, v = cls._lower(u, v)
+        gu, gv, g1 = cls._g(u, theta), cls._g(v, theta), cls._g(1.0, theta)
+        denom = -g1 - gu * gv
+        num = -theta * g1 * np.exp(-theta * (u + v))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(num) - 2.0 * np.log(np.abs(denom))
+
+    @classmethod
+    def hfunc(cls, x, y, p):
+        theta = p[0]
+        up, a, b = cls._lower(x, y)
+        gx, gy, g1 = cls._g(a, theta), cls._g(b, theta), cls._g(1.0, theta)
+        h = np.exp(-theta * b) * gx / (g1 + gx * gy)
+        return np.where(up, 1.0 - h, h)[()]
+
+
+class _RefJoe:
+    @staticmethod
+    def _log_t(u, v, delta):
+        a = delta * np.log1p(-u)
+        b = delta * np.log1p(-v)
+        m = np.maximum(a, b)
+        return m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(a + b - m))
+
+    @classmethod
+    def cdf(cls, u, v, p):
+        return 1.0 - np.exp(cls._log_t(u, v, p[0]) / p[0])
+
+    @classmethod
+    def logpdf(cls, u, v, p):
+        delta = p[0]
+        lt = cls._log_t(u, v, delta)
+        return (
+            (1.0 / delta - 2.0) * lt
+            + (delta - 1.0) * (np.log1p(-u) + np.log1p(-v))
+            + np.log(delta - 1.0 + np.exp(lt))
+        )
+
+    @classmethod
+    def hfunc(cls, x, y, p):
+        delta = p[0]
+        lt = cls._log_t(x, y, delta)
+        one_minus_xd = -np.expm1(delta * np.log1p(-x))
+        with np.errstate(divide="ignore"):
+            log_h = (
+                (1.0 / delta - 1.0) * lt
+                + (delta - 1.0) * np.log1p(-y)
+                + np.log(one_minus_xd)
+            )
+        return np.exp(log_h)
+
+
+_REF_FAM = {
+    "indep": _RefIndep,
+    "gaussian": _RefGaussian,
+    "studentt": _RefStudentT,
+    "clayton": _RefClayton,
+    "gumbel": _RefGumbel,
+    "frank": _RefFrank,
+    "joe": _RefJoe,
+}
+
+
+def _ref_mirror(x, flip):
+    return 1.0 - x if flip else x
+
+
+class _RefCop:
+    """``cop``'s copula methods on the reference formulas."""
+
+    def __init__(self, cop):
+        self.fam, self.rotation, self.params = _REF_FAM[cop.family], cop.rotation, cop.params
+        self.is_indep = cop.family == "indep"
+
+    def _cdf(self, u, v):
+        flip_u, flip_v = REFLECTIONS[self.rotation]
+        c = self.fam.cdf(_ref_mirror(u, flip_u), _ref_mirror(v, flip_v), self.params)
+        if flip_u and flip_v:
+            return u + v - 1.0 + c
+        if flip_u or flip_v:
+            return (v if flip_u else u) - c
+        return c
+
+    def _logpdf(self, u, v):
+        flip_u, flip_v = REFLECTIONS[self.rotation]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = self.fam.logpdf(_ref_mirror(u, flip_u), _ref_mirror(v, flip_v), self.params)
+        out = np.asarray(out)
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.where(out > 0, 700.0, LOG_FLOOR))
+        return out[()] if out.ndim == 0 else out
+
+    def _hfunc(self, u, v, direction):
+        flip_u, flip_v = REFLECTIONS[self.rotation]
+        u, v = _ref_mirror(u, flip_u), _ref_mirror(v, flip_v)
+        target, cond, flip = (u, v, flip_u) if direction == "1|2" else (v, u, flip_v)
+        out = self.fam.hfunc(target, cond, self.params)
+        return np.clip(_ref_mirror(out, flip), 0.0, 1.0)
+
+    def cdf(self, u, v):
+        return self._cdf(_clip(u), _clip(v))
+
+    def logpdf(self, u, v):
+        return self._logpdf(_clip(u), _clip(v))
+
+    def hfunc(self, u, v, direction):
+        return self._hfunc(_clip(u), _clip(v), direction)
+
+    def likelihood(self, obs):
+        up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
+        if obs.u_disc and obs.v_disc:
+            (cpp, cpm), (cmp_, cmm) = self._cdf(np.stack([up, um])[:, None], np.stack([vp, vm]))
+            terms = cpp, cpm, cmp_, cmm
+            prob = cpp - cpm - cmp_ + cmm
+        elif obs.u_disc:
+            terms = tuple(self._hfunc(np.stack([up, um]), vp, "1|2"))
+            prob = terms[0] - terms[1]
+        elif obs.v_disc:
+            terms = tuple(self._hfunc(up, np.stack([vp, vm]), "2|1"))
+            prob = terms[0] - terms[1]
+        else:
+            return np.maximum(self._logpdf(up, vp), LOG_FLOOR), ()
+        contrib = np.log(np.maximum(prob, CONTRIB_FLOOR))
+        for mass in obs.masses:
+            if mass is not None:
+                contrib = contrib - np.log(mass)
+        return contrib, terms
+
+    def condition(self, obs):
+        contrib, terms = self.likelihood(obs)
+        up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
+        mass_u, mass_v = obs.masses
+        if self.is_indep:
+            sides = (up, um if obs.u_disc else None), (vp, vm if obs.v_disc else None)
+        elif obs.u_disc and obs.v_disc:
+            cpp, cpm, cmp_, cmm = terms
+            sides = (
+                ((cpp - cpm) / mass_v, (cmp_ - cmm) / mass_v),
+                ((cpp - cmp_) / mass_u, (cpm - cmm) / mass_u),
+            )
+        elif obs.u_disc:
+            sides = terms, (np.subtract(*self._cdf(np.stack([up, um]), vp)) / mass_u, None)
+        elif obs.v_disc:
+            sides = (np.subtract(*self._cdf(up, np.stack([vp, vm]))) / mass_v, None), terms
+        else:
+            sides = (self._hfunc(up, vp, "1|2"), None), (self._hfunc(up, vp, "2|1"), None)
+        return contrib, *(
+            (_clip(plus), None if minus is None else _clip(np.minimum(minus, plus)))
+            for plus, minus in sides
+        )
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+#: Parameters at, near and between each family's bounds.
+_EDGE_PARAMS = {
+    "indep": [()],
+    "gaussian": [(-0.9999,), (-0.9998,), (0.35,), (0.9998,), (0.9999,)],
+    "studentt": [(-0.999, 2.05), (0.5, 2.0501), (0.5, 5.0), (0.998, 29.99), (0.999, 30.0)],
+    "clayton": [(1e-4,), (2e-4,), (1.2,), (27.99,), (28.0,)],
+    "gumbel": [(1.0,), (1.0001,), (1.7,), (19.99,), (20.0,)],
+    "frank": [(-35.0,), (-34.99,), (-1e-4,), (4.0,), (34.99,), (35.0,)],
+    "joe": [(1.0,), (1.0001,), (2.2,), (29.99,), (30.0,)],
+}
+
+
+def _edge_columns(n=40, seed=11):
+    """Plus and minus corners of two sides, reaching EPS and 1 - EPS, with
+    masses from 0 up to 0.5."""
+    rng = np.random.default_rng(seed)
+    up = np.concatenate([[EPS, 1.0 - EPS, EPS, 1.0 - EPS, 0.5], rng.uniform(EPS, 1.0, n)])
+    um = np.maximum(up - rng.choice([0.0, 1e-13, 1e-4, 0.1, 0.5], up.size), EPS)
+    um[:2] = EPS
+    return up, um
+
+
+_KINDS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("family,rotation", [("indep", 0)] + ALL_COMBOS)
+@pytest.mark.parametrize("u_disc,v_disc", _KINDS)
+def test_prepared_kernels_equal_the_reference_formulas_to_the_bit(family, rotation, u_disc, v_disc):
+    up, um = _edge_columns(seed=11)
+    vp, vm = _edge_columns(seed=12)
+    vp[:4], vm[:4] = vp[[1, 0, 0, 1]], vm[[1, 0, 0, 1]]  # cross the EPS edges
+    obs = PairObs(up, vp, um if u_disc else None, vm if v_disc else None, u_disc, v_disc)
+    for params in _EDGE_PARAMS[family]:
+        cop = Bicop(family, rotation, params)
+        ref = _RefCop(cop)
+        with np.errstate(all="ignore"):
+            want = ref.condition(obs)
+            got = bicop_condition(cop, obs)
+            prepared = obs.prepare(rotation)
+            other = obs.prepare((rotation + 90) % 360)  # held arguments of another rotation
+            for pair in (obs, prepared, other):
+                assert _bits(bicop_loglik(cop, pair)) == _bits(float(np.sum(want[0]))), params
+            assert _bits(bicop_contributions(cop, prepared)) == _bits(want[0]), params
+            assert _bits(got[0]) == _bits(want[0]), params
+            for side, ref_side in zip(got[1:], want[1:]):
+                assert _bits(side[0]) == _bits(ref_side[0]), params
+                assert (side[1] is None) == (ref_side[1] is None)
+                if side[1] is not None:
+                    assert _bits(side[1]) == _bits(ref_side[1]), params
+
+
+@pytest.mark.parametrize("family,rotation", [("indep", 0)] + ALL_COMBOS)
+def test_public_methods_equal_the_reference_formulas_to_the_bit(family, rotation):
+    a, b = (g.ravel() for g in np.meshgrid(_EDGE_AXIS, _EDGE_AXIS))
+    for params in _EDGE_PARAMS[family]:
+        cop = Bicop(family, rotation, params)
+        ref = _RefCop(cop)
+        with np.errstate(all="ignore"):
+            assert _bits(cop.cdf(a, b)) == _bits(ref.cdf(a, b)), params
+            assert _bits(cop.logpdf(a, b)) == _bits(ref.logpdf(a, b)), params
+            for direction in ("1|2", "2|1"):
+                assert _bits(cop.hfunc(a, b, direction)) == _bits(ref.hfunc(a, b, direction))
+            assert _bits(cop.cdf(0.3, EPS)) == _bits(ref.cdf(0.3, EPS))
+            assert _bits(cop.logpdf(1.0 - EPS, 0.3)) == _bits(ref.logpdf(1.0 - EPS, 0.3))
+
+
+# ---------------------------------------------------------------------------
+# bicop_fit's search: the tau interval around the start and its widening
+# ---------------------------------------------------------------------------
+
+
+def _counting_searches(monkeypatch):
+    """Record the interval of every ``minimize_bounded`` call of ``bicop_fit``."""
+    calls, search = [], bicop_module.minimize_bounded
+
+    def counting(func, lo, hi, **kwargs):
+        calls.append((lo, hi))
+        return search(func, lo, hi, **kwargs)
+
+    monkeypatch.setattr(bicop_module, "minimize_bounded", counting)
+    return calls
+
+
+def _full_range_optimum(family, rotation, obs):
+    def neg_ll(t):
+        return -bicop_loglik(Bicop(family, rotation, (t,)), obs)
+
+    return minimize_bounded(neg_ll, *_FAM[family].bounds[0])
+
+
+def test_an_optimum_past_the_interval_widens_the_search(monkeypatch):
+    # a Clayton fitted to Gumbel data: the MLE's tau lies more than 0.1
+    # below the tau-inversion start's
+    s = make("gumbel", 0, 0.6).sample(500, np.random.default_rng(1))
+    obs = PairObs(s[:, 0], s[:, 1])
+    start = bicop_start("clayton", 0, obs)
+    calls = _counting_searches(monkeypatch)
+    cop, ll = bicop_fit("clayton", 0, obs, start=start)
+    assert calls == [_search_interval("clayton", start[0]), _FAM["clayton"].bounds[0]]
+    assert cop.tau < start[0].tau - TAU_HALF_WIDTH
+    x, fx = _full_range_optimum("clayton", 0, obs)
+    assert cop.params == (x,) and ll == -fx
+
+
+def test_an_optimum_inside_the_interval_searches_it_alone(monkeypatch):
+    s = make("gumbel", 0, 0.6).sample(500, np.random.default_rng(1))
+    obs = PairObs(s[:, 0], s[:, 1])
+    start = bicop_start("gumbel", 0, obs)
+    calls = _counting_searches(monkeypatch)
+    cop, ll = bicop_fit("gumbel", 0, obs, start=start)
+    lo, hi = _search_interval("gumbel", start[0])
+    assert calls == [(lo, hi)] and lo < cop.params[0] < hi
+    assert start[0].tau - TAU_HALF_WIDTH == pytest.approx(Bicop("gumbel", 0, (lo,)).tau)
+    assert ll >= -_full_range_optimum("gumbel", 0, obs)[1] - 1e-8
+
+
+def test_interval_ends_past_the_attainable_taus_are_the_bounds():
+    lo, hi = _search_interval("gumbel", Bicop("gumbel", 0, (1.05,)))
+    assert lo == 1.0 and hi == pytest.approx(1.0 / (1.0 - (1.0 - 1.0 / 1.05 + TAU_HALF_WIDTH)))
+    assert _search_interval("clayton", Bicop("clayton", 0, (27.0,)))[1] == 28.0
+    lo, hi = _search_interval("gaussian", Bicop("gaussian", 0, (0.1,)))
+    assert -0.9999 < lo < 0.0 < hi < 0.9999
+
+
+def test_a_frank_interval_across_independence_never_evaluates_theta_zero(monkeypatch):
+    # the tau target 0 of the lower end is theta = 0 itself, which no Frank
+    # copula takes; the search evaluates it as the worst value
+    start = Bicop("frank", 0, tau_to_param("frank", TAU_HALF_WIDTH))
+    assert _search_interval("frank", start)[0] == 0.0
+    s = make("gaussian", 0, 0.1).sample(300, np.random.default_rng(2))
+    obs = PairObs(s[:, 0], s[:, 1])
+    search, seen = bicop_module.minimize_bounded, []
+
+    def probing(func, lo, hi, **kwargs):
+        seen.append(func(0.0))
+        return search(func, lo, hi, **kwargs)
+
+    monkeypatch.setattr(bicop_module, "minimize_bounded", probing)
+    cop, ll = bicop_fit("frank", 0, obs, start=(start, bicop_loglik(start, obs)))
+    assert seen[0] == np.inf and cop.params[0] != 0.0 and np.isfinite(ll)
+
+
+def test_studentt_searches_log_nu_at_the_start_rho(monkeypatch):
+    true = Bicop("studentt", 0, (0.5, 6.0))
+    s = true.sample(700, np.random.default_rng(3))
+    obs = PairObs(s[:, 0], s[:, 1])
+    start = bicop_start("studentt", 0, obs)
+    calls = _counting_searches(monkeypatch)
+    cop, ll = bicop_fit("studentt", 0, obs, start=start)
+    assert calls == [(math.log(2.05), math.log(30.0))]
+    assert cop.params[0] == start[0].params[0] and 2.05 < cop.params[1] < 30.0
+    assert ll == bicop_loglik(cop, obs)

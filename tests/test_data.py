@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from vinerisk.data import Dataset, Schema, VariableSpec, load_dataset
+from vinerisk.data import Dataset, Schema, VariableSpec, _parse_cell, load_dataset
 from vinerisk.errors import (
     EmptyDataset,
     MissingColumn,
@@ -163,3 +165,83 @@ def test_unlabeled_schema(tmp_path):
     ds = load_dataset(p, schema)
     assert ds.labels is None and ds.aux is None
     assert ds.x.shape == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# column-wise CSV reading and writing against the row-by-row forms
+# ---------------------------------------------------------------------------
+
+
+def _row_by_row_csv(ds, path):
+    """``Dataset.to_csv`` as it wrote one cell at a time."""
+    header = list(ds.schema.names) + [ds.schema.label, ds.schema.aux]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ds.n):
+            row = []
+            for j, spec in enumerate(ds.schema.variables):
+                v = ds.x[i, j]
+                row.append(str(int(v)) if spec.is_ordinal else format(v, ".17g"))
+            row.append(str(int(ds.labels[i])))
+            row.append(format(ds.aux[i], ".17g"))
+            writer.writerow(row)
+
+
+def test_to_csv_writes_the_bytes_of_the_row_by_row_writer(tmp_path, schema):
+    rng = np.random.default_rng(5)
+    n = 200
+    bmi = rng.normal(25, 4, size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    bmi[:4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    x = np.column_stack([bmi, rng.integers(1, 4, size=n).astype(float)])
+    ds = Dataset(schema, x, labels=rng.integers(0, 2, size=n), aux=rng.normal(5, 2, size=n))
+    ds.to_csv(tmp_path / "columns.csv")
+    _row_by_row_csv(ds, tmp_path / "rows.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+_TOO_LONG = '"' + "a" * (csv.field_size_limit() + 1) + '"'
+
+
+def _row_by_row_error(path, schema):
+    """The error the row-by-row parse raised first: ``(type, message)``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        names = schema.names + [schema.label, schema.aux]
+        try:
+            for irow, rec in enumerate(reader, start=1):
+                if not rec or all(cell.strip() == "" for cell in rec):
+                    continue
+                if len(rec) != len(header):
+                    raise NonNumericCell(
+                        f"{path}: data row {irow} has {len(rec)} cells, header has {len(header)}"
+                    )
+                for name in names:
+                    _parse_cell(rec[header.index(name)], name, irow)
+        except (MissingValue, NonNumericCell, csv.Error) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["22,1,0,1", "23,oops,0,1", "x,1,0,1"],  # a later row's earlier column
+        ["22,1,0,1", "nan,,0,1"],  # two bad cells in one row: the first column
+        ["22,1,0,1", "", " , ", "24,2,,1"],  # blank rows still count
+        ["22,1,0,1", "23,2,0,inf", "1e400,1,0,1"],  # non-finite, the aux column too
+        ["22,1,0,1", "23,2,0", "24,,0,1"],  # a short row before a bad cell
+        ["22,x,0,1", "23,2,0"],  # a bad cell before a short row
+        ["22,1,0,1", "23, 2 ,0,1", "  ,1,0,1"],  # a blank cell among spaced ones
+        ["22,,0,1", f"23,{_TOO_LONG},0,1"],  # a bad cell before an unreadable row
+        ["22,1,0,1", f"23,{_TOO_LONG},0,1", "24,,0,1"],  # an unreadable row first
+    ],
+)
+def test_load_raises_the_error_the_row_by_row_parse_met_first(tmp_path, schema, rows):
+    p = tmp_path / "bad.csv"
+    p.write_text("bmi,bloodloss,y,nights\n" + "\n".join(rows) + "\n")
+    want = _row_by_row_error(p, schema)
+    with pytest.raises((MissingValue, NonNumericCell, csv.Error)) as got:
+        load_dataset(p, schema)
+    assert (type(got.value), str(got.value)) == want

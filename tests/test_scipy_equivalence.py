@@ -172,6 +172,18 @@ def test_minimize_bounded_is_scipys_to_the_bit():
         assert (_bits(x), _bits(fx)) == (_bits(want.x), _bits(want.fun)), (lo, hi, x, want.x)
 
 
+@pytest.mark.parametrize("xatol", [1e-3, 1e-7])
+def test_minimize_bounded_with_xatol_is_scipys_to_the_bit(xatol):
+    rng = np.random.default_rng(20261020)
+    for func, lo, hi in _bounded_cases(rng, 300):
+        with np.errstate(invalid="ignore"):
+            want = optimize.minimize_scalar(
+                func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+            )
+            x, fx = minimize_bounded(func, lo, hi, xatol=xatol)
+        assert (_bits(x), _bits(fx)) == (_bits(want.x), _bits(want.fun)), (lo, hi, x, want.x)
+
+
 def _tau_grid(family):
     lo, hi = family_tau_range(family)
     return np.linspace(1e-3, min(hi, 0.95) - 1e-3, 200)

@@ -26,8 +26,10 @@ from vinerisk.bicop import (
     bicop_loglik,
     empirical_tau,
     tau_to_param,
+    _FAM,
 )
 from vinerisk.errors import TooFewObservations
+from vinerisk.optim import minimize_bounded
 from vinerisk.latent import partial_correlation
 from vinerisk.classifier import ClassifierModel, fit_classifier, posterior
 from vinerisk.data import Dataset, Schema, VariableSpec
@@ -518,6 +520,45 @@ class TestCandidateScreen:
             for discrete in ("", "u", "v", "uv"):
                 obs = _simulated_pair(cop, 300, discrete, seed=(i, len(discrete)))
                 assert _fit_edge(obs, 1, 300, config) == _full_search(obs, 1, 300, config)
+
+    @pytest.mark.parametrize("family,rotation,sign", _SCREEN_CASES)
+    def test_the_tau_interval_picks_what_the_full_range_search_picks(
+        self, monkeypatch, family, rotation, sign
+    ):
+        # bicop_fit searches near the start; the former search took the
+        # whole bounds.  The Student-t's log-nu tolerance of 1e-3 costs up
+        # to about 1e-7 of its likelihood, so it gets a looser bound.
+        def full_range_fit(family, rotation, obs, start):
+            start_cop, start_ll = start
+            fixed = start_cop.params[:-1]
+
+            def neg_ll(t):
+                try:
+                    cop = Bicop(family, rotation, fixed + (t,))
+                except ValueError:
+                    return np.inf
+                return -bicop_loglik(cop, obs)
+
+            x, fx = minimize_bounded(neg_ll, *_FAM[family].bounds[-1])
+            if fx < -start_ll:
+                return Bicop(family, rotation, fixed + (float(x),)), -float(fx)
+            return start
+
+        config = FitConfig()
+        for i, tau in enumerate((0.05, 0.2, 0.45, 0.7)):
+            params = tau_to_param(family, sign * tau, rotation)
+            if family == "studentt":
+                params = (params[0], 4.0)
+            cop = Bicop(family, rotation, params)
+            for discrete in ("", "u", "v", "uv"):
+                obs = _simulated_pair(cop, 300, discrete, seed=(7, i, len(discrete)))
+                got = _fit_edge(obs, 1, 300, config)
+                with monkeypatch.context() as patch:
+                    patch.setattr(vine_module, "bicop_fit", full_range_fit)
+                    full = _fit_edge(obs, 1, 300, config)
+                assert (got[0].family, got[0].rotation) == (full[0].family, full[0].rotation)
+                slack = 1e-6 if got[0].family == "studentt" else 1e-8
+                assert got[1] >= full[1] - slack
 
     def test_few_candidates_get_the_full_search(self):
         config = FitConfig(families=("indep", "gaussian", "frank"))
