@@ -40,12 +40,13 @@ h-function or its inverse also mirrors its output (``1 - x``) exactly when
 its target argument is mirrored.  Mirroring one axis negates Kendall's tau
 (:func:`rotated_tau`); 180 is the survival copula.
 
-Each family's ``logpdf``, ``cdf`` and ``hfunc`` is split in two: the
+Each family's log density, CDF and h-function is split in two: the
 transforms of its arguments that no parameter enters (:class:`_Args`:
 ``log u``, ``log(-log u)``, ``log1p(-u)``, ``ndtri(u)``, Frank's fold),
 and a kernel that takes them with the parameters.  A pair's likelihood
 arguments, the mirrored and stacked corners, and their transforms are
-prepared once per fit (:meth:`PairObs.prepare`), so each step of the
+computed once per pair and rotation (:meth:`PairObs.kernel_args`) and
+shared by every candidate family's start and search, so each step of a
 search evaluates only the kernel.  The transforms are the subexpressions
 the kernels would compute in place, so the values are the same to the bit.
 
@@ -59,7 +60,6 @@ step: :func:`bicop_condition`.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -108,11 +108,13 @@ def _mirror(x, flip: bool):
 
 
 def _newton_hinv(fam, q, y, p, max_iter=100, tol=1e-13):
-    """Solve ``fam.hfunc(x, y, p) = q`` for x in [EPS, 1 - EPS], elementwise.
+    """Solve ``fam.hfunc_k(_Args(x, y), p) = q`` for x in [EPS, 1 - EPS],
+    elementwise.
 
     Safeguarded Newton (``rtsafe``, Press et al., *Numerical Recipes*,
     section 9.4).  The derivative of h in x is the copula density
-    ``exp(fam.logpdf(x, y, p))``.  Every point starts at ``q``, the
+    ``exp(fam.logpdf_k(_Args(x, y), p))``; both kernels of an iteration
+    share its ``_Args``.  Every point starts at ``q``, the
     independence answer, with the bracket [EPS, 1 - EPS], which each
     evaluation narrows (h increases in x).  A point bisects its bracket
     instead of taking the Newton step when that step is not finite, leaves
@@ -138,9 +140,10 @@ def _newton_hinv(fam, q, y, p, max_iter=100, tol=1e-13):
     for _ in range(max_iter):
         if todo.size == 0:
             return x.reshape(shape)[()]
+        t = _Args(xa, ya)
         with np.errstate(all="ignore"):
-            f = fam.hfunc(xa, ya, p) - qa
-            dens = np.exp(fam.logpdf(xa, ya, p))
+            f = fam.hfunc_k(t, p) - qa
+            dens = np.exp(fam.logpdf_k(t, p))
             nxt = np.where(np.isfinite(dens), xa - f / dens, np.nan)
         np.copyto(hi, xa, where=f > 0.0)
         np.copyto(lo, xa, where=f < 0.0)
@@ -149,7 +152,7 @@ def _newton_hinv(fam, q, y, p, max_iter=100, tol=1e-13):
         step = nxt - xa
         x[todo] = np.where(f == 0.0, xa, nxt)
         go = (f != 0.0) & (np.abs(step) >= tol) & (hi - lo >= tol)
-        del f, dens, bisect  # lowers the peak memory of the compaction below
+        del t, f, dens, bisect  # lowers the peak memory of the compaction below
         todo, xa, qa, ya, lo, hi, step = (a[go] for a in (todo, nxt, qa, ya, lo, hi, step))
     raise NoConvergence(f"h-function inversion did not converge in {max_iter} iterations")
 
@@ -173,20 +176,20 @@ def rotated_tau(tau: float, rotation: int) -> float:
 # family primitives (base, unrotated parameterization)
 #
 # Each family namespace provides, on the clamped unit square:
-#   logpdf(u, v, p)   log copula density
-#   cdf(u, v, p)      C(u, v)
-#   hfunc(x, y, p)    conditional CDF P(X <= x | Y = y) = dC/dy  (families
+#   logpdf_k(t, p)    log copula density
+#   cdf_k(t, p)       C(u, v)
+#   hfunc_k(t, p)     conditional CDF P(X <= x | Y = y) = dC/dy  (families
 #                     here are exchangeable, so one direction suffices)
-#   hinv(q, y, p)     inverse of hfunc in x: closed form, or the safeguarded
-#                     Newton solver _newton_hinv (gumbel, joe)
+#   hinv(q, y, p)     inverse of the h-function in x: closed form, or the
+#                     safeguarded Newton solver _newton_hinv (gumbel, joe)
 #   tau(p) / par_from_tau(tau)
 # and ``bounds``, one (lower, upper) pair per parameter.  Tau at the lower and
 # at the upper bounds spans the attainable interval (:func:`family_tau_range`).
 #
-# logpdf, cdf and hfunc each prepare, then run a kernel: ``_Args`` holds the
-# two arguments and the transforms of them that no parameter enters, and
-# logpdf_k, cdf_k and hfunc_k take it with the parameters.  A fit prepares
-# once and runs the kernel at every step of its search.
+# The kernels take ``t``, an ``_Args`` of the two arguments (``u, v``, or
+# ``x, y`` of an h-function) and the transforms of them that no parameter
+# enters.  A likelihood's ``_Args`` are computed once per pair and rotation,
+# shared by every candidate family and every step of its search.
 # ---------------------------------------------------------------------------
 
 
@@ -228,24 +231,7 @@ class _Args:
         return up, a, b, a + b
 
 
-class _Family:
-    """A family's ``logpdf``, ``cdf`` and ``hfunc``: its kernel on freshly
-    prepared :class:`_Args`."""
-
-    @classmethod
-    def logpdf(cls, u, v, p):
-        return cls.logpdf_k(_Args(u, v), p)
-
-    @classmethod
-    def cdf(cls, u, v, p):
-        return cls.cdf_k(_Args(u, v), p)
-
-    @classmethod
-    def hfunc(cls, x, y, p):
-        return cls.hfunc_k(_Args(x, y), p)
-
-
-class _Indep(_Family):
+class _Indep:
     name = "indep"
     npar = 0
     bounds = ()
@@ -275,7 +261,7 @@ class _Indep(_Family):
         raise ValueError("independence copula has no parameter")
 
 
-class _Gaussian(_Family):
+class _Gaussian:
     name = "gaussian"
     npar = 1
     bounds = ((-0.9999, 0.9999),)
@@ -399,7 +385,7 @@ class _StudentT(_Gaussian):
         return (math.sin(math.pi * tau / 2.0), 5.0)
 
 
-class _Clayton(_Family):
+class _Clayton:
     name = "clayton"
     npar = 1
     bounds = ((1e-4, 28.0),)
@@ -450,7 +436,7 @@ class _Clayton(_Family):
         return (2.0 * tau / (1.0 - tau),)
 
 
-class _Gumbel(_Family):
+class _Gumbel:
     name = "gumbel"
     npar = 1
     bounds = ((1.0, 20.0),)
@@ -507,7 +493,7 @@ class _Gumbel(_Family):
         return (1.0 / (1.0 - tau),)
 
 
-class _Frank(_Family):
+class _Frank:
     """Frank is radially symmetric, ``C(u, v) = u + v - 1 + C(1 - u, 1 - v)``.
     Its closed forms cancel catastrophically where ``u + v > 1`` at large
     theta (``g(1) + g(u) g(v)`` nears 0 as a difference of two terms near
@@ -569,7 +555,7 @@ class _Frank(_Family):
         return (math.copysign(_frank_theta_abs(abs(tau)), tau),)
 
 
-class _Joe(_Family):
+class _Joe:
     name = "joe"
     npar = 1
     bounds = ((1.0, 30.0),)
@@ -730,20 +716,19 @@ class Bicop:
     # The public methods clip their arguments into [EPS, 1 - EPS].  The
     # likelihood calls the unclipped ``_cdf``, ``_logpdf`` and ``_hfunc`` on
     # ``PairObs`` columns, which are clipped once at construction, and passes
-    # ``t``, the prepared family arguments of :meth:`PairObs.kernel_args`.
-    # Without ``t`` the family's own ``cdf``, ``logpdf`` or ``hfunc``
-    # prepares them from the mirrored arguments.
+    # ``t``, the family arguments of :meth:`PairObs.kernel_args`: computed
+    # once per pair and rotation, shared by every candidate.  Without ``t``
+    # they are built from the mirrored arguments.  Either way the family
+    # kernel runs on them.
 
     def cdf(self, u, v):
         return self._cdf(_clip(u), _clip(v))
 
     def _cdf(self, u, v, t=None):
         flip_u, flip_v = REFLECTIONS[self.rotation]
-        fam = _FAM[self.family]
         if t is None:
-            c = fam.cdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
-        else:
-            c = fam.cdf_k(t, self.params)
+            t = _Args(_mirror(u, flip_u), _mirror(v, flip_v))
+        c = _FAM[self.family].cdf_k(t, self.params)
         if flip_u and flip_v:
             return u + v - 1.0 + c
         if flip_u or flip_v:
@@ -754,13 +739,11 @@ class Bicop:
         return self._logpdf(_clip(u), _clip(v))
 
     def _logpdf(self, u, v, t=None):
-        flip_u, flip_v = REFLECTIONS[self.rotation]
-        fam = _FAM[self.family]
+        if t is None:
+            flip_u, flip_v = REFLECTIONS[self.rotation]
+            t = _Args(_mirror(u, flip_u), _mirror(v, flip_v))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if t is None:
-                out = fam.logpdf(_mirror(u, flip_u), _mirror(v, flip_v), self.params)
-            else:
-                out = fam.logpdf_k(t, self.params)
+            out = _FAM[self.family].logpdf_k(t, self.params)
         out = np.asarray(out)
         finite = np.isfinite(out)
         if not finite.all():  # NaN and -inf to LOG_FLOOR, +inf to 700
@@ -787,11 +770,9 @@ class Bicop:
 
     def _hfunc(self, u, v, direction, t=None):
         if t is None:
-            target, cond, flip = self._target_first(u, v, direction)
-            out = _FAM[self.family].hfunc(target, cond, self.params)
-        else:
-            flip = REFLECTIONS[self.rotation][direction == "2|1"]
-            out = _FAM[self.family].hfunc_k(t, self.params)
+            t = _Args(*self._target_first(u, v, direction)[:2])
+        flip = REFLECTIONS[self.rotation][direction == "2|1"]
+        out = _FAM[self.family].hfunc_k(t, self.params)
         return np.clip(_mirror(out, flip), 0.0, 1.0)
 
     def hinv(self, q, cond, direction="1|2"):
@@ -880,8 +861,10 @@ class PairObs:
     observed code (``*_plus``) and just below it (``*_minus``); for a
     continuous component the two coincide.  ``masses`` holds each discrete
     side's code probability ``plus - minus``, floored at ``MASS_FLOOR``.
-    ``prepared`` holds ``(rotation, kernel_args)`` on a pair made by
-    :meth:`prepare`, and None otherwise.
+    ``kernel_memo`` maps a rotation to the pair's :meth:`kernel_args` for
+    it, computed on first use: every candidate family of that rotation, its
+    start and its search share them.  Nothing reassigns a pair's columns
+    after construction, so the memo is never stale.
     """
 
     u_plus: np.ndarray
@@ -891,7 +874,7 @@ class PairObs:
     u_disc: bool = False
     v_disc: bool = False
     masses: tuple = field(init=False, repr=False)
-    prepared: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    kernel_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.u_plus = _clip(self.u_plus)
@@ -912,7 +895,7 @@ class PairObs:
 
     def kernel_args(self, rotation: int) -> tuple:
         """``(u, v, t)``: the arguments :func:`_likelihood` passes to a
-        copula of ``rotation``, and ``t``, their prepared family arguments.
+        copula of ``rotation``, and ``t``, their family kernel arguments.
 
         ``u`` and ``v`` stack a discrete side's (plus, minus) corners along
         a leading axis; with both sides discrete they are ``(2, 1, n)`` and
@@ -920,11 +903,11 @@ class PairObs:
         mirrored as the rotation says, in the family kernel's order: the
         target side first for an h-function (``v`` when only it is
         discrete).  No parameter enters ``t``, so every family of the
-        rotation shares it.  A pair from :meth:`prepare` returns the
-        arguments it holds.
+        rotation shares it.  They are computed once per pair and rotation
+        and kept in :attr:`kernel_memo`.
         """
-        if self.prepared is not None and self.prepared[0] == rotation:
-            return self.prepared[1]
+        if rotation in self.kernel_memo:
+            return self.kernel_memo[rotation]
         up, um, vp, vm = self.u_plus, self.u_minus, self.v_plus, self.v_minus
         if self.u_disc and self.v_disc:
             u, v = np.stack([up, um])[:, None], np.stack([vp, vm])
@@ -936,15 +919,9 @@ class PairObs:
             u, v = up, vp
         flip_u, flip_v = REFLECTIONS[rotation]
         mu, mv = _mirror(u, flip_u), _mirror(v, flip_v)
-        return u, v, _Args(mv, mu) if self.v_disc and not self.u_disc else _Args(mu, mv)
-
-    def prepare(self, rotation: int) -> "PairObs":
-        """This pair holding its :meth:`kernel_args` for ``rotation``, so
-        that every likelihood evaluated on it under that rotation reuses
-        the stacked, mirrored corners and their transforms."""
-        out = copy.copy(self)
-        out.prepared = (rotation, self.kernel_args(rotation))
-        return out
+        t = _Args(mv, mu) if self.v_disc and not self.u_disc else _Args(mu, mv)
+        self.kernel_memo[rotation] = u, v, t
+        return u, v, t
 
     def take(self, index) -> "PairObs":
         """The pair at ``index``, as if built from the sides taken there."""
@@ -1193,9 +1170,11 @@ def bicop_fit(
       ``LOG_NU_XATOL``, at the tau-inverted rho (a profile likelihood, as
       in the ``itau`` estimator of Czado 2019, section 7).
 
-    ``obs`` is prepared once (:meth:`PairObs.prepare`), so each step
-    evaluates only the family kernel, through :func:`bicop_loglik`.  The
-    fit never returns a likelihood below the start's.
+    Each step evaluates only the family kernel, through
+    :func:`bicop_loglik`, on the arguments ``obs`` holds for ``rotation``
+    (:meth:`PairObs.kernel_args`): computed once per pair and rotation and
+    shared by every candidate.  The fit never returns a likelihood below
+    the start's.
     """
     if obs.n < MIN_ROWS:
         raise TooFewObservations(
@@ -1204,7 +1183,6 @@ def bicop_fit(
     if family == "indep":
         return INDEP, bicop_loglik(INDEP, obs)
     start_cop, start_ll = bicop_start(family, rotation, obs, tau) if start is None else start
-    obs = obs.prepare(rotation)
     fixed = start_cop.params[:-1]
 
     def neg_ll(t):

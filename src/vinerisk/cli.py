@@ -161,11 +161,17 @@ def _labeled_posteriors(args):
         raise VineRiskError(f"{args.command} needs a labeled dataset")
     with open(args.posteriors, newline="") as fh:
         reader = csv.DictReader(fh)
-        cols = [c for c in reader.fieldnames or [] if c.startswith("p_class")]
-        if not cols:
-            raise VineRiskError(f"{args.posteriors} has no p_class* columns")
-        cols.sort(key=lambda c: int(c[len("p_class"):]))
-        probs = np.asarray([[float(rec[c]) for c in cols] for rec in reader], dtype=float)
+        try:
+            records = list(reader)
+        except csv.Error as exc:
+            # line_num counts the lines read before the one the reader failed on
+            line = reader.line_num + 1
+            raise VineRiskError(f"{args.posteriors}: line {line} cannot be read: {exc}") from None
+    cols = [c for c in reader.fieldnames or [] if c.startswith("p_class")]
+    if not cols:
+        raise VineRiskError(f"{args.posteriors} has no p_class* columns")
+    cols.sort(key=lambda c: int(c[len("p_class"):]))
+    probs = np.asarray([[float(rec[c]) for c in cols] for rec in records], dtype=float)
     if probs.shape[0] != ds.n:
         raise VineRiskError(f"posterior rows ({probs.shape[0]}) != data rows ({ds.n})")
     return ds, [int(c[len("p_class"):]) for c in cols], probs

@@ -316,7 +316,9 @@ def load_dataset(path, schema: Schema) -> Dataset:
     ------
     MissingColumn, MissingValue, NonNumericCell, OrdinalOutOfRange, EmptyDataset, SchemaError
         On malformed input, such as a column the schema reads appearing twice
-        in the header; messages identify the offending column and row.
+        in the header; messages identify the offending column and row.  A
+        record the CSV reader cannot read (a field longer than
+        ``csv.field_size_limit()``, say) is a ``NonNumericCell``.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -324,6 +326,8 @@ def load_dataset(path, schema: Schema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise EmptyDataset(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise NonNumericCell(f"{path}: header row cannot be read: {exc}") from None
         header = [h.strip() for h in header]
         col_index = {}
         for want in schema.names + [c for c in (schema.label, schema.aux) if c]:
@@ -333,7 +337,7 @@ def load_dataset(path, schema: Schema) -> Dataset:
                 raise SchemaError(f"{path}: column {want!r} appears more than once in the header")
             col_index[want] = header.index(want)
         # ``stop``: what ended the rows early, raised unless a row before it fails
-        records, row_numbers, stop = [], [], None
+        records, row_numbers, stop, irow = [], [], None, 0
         try:
             for irow, rec in enumerate(reader, start=1):
                 if not rec or all(cell.strip() == "" for cell in rec):
@@ -346,7 +350,7 @@ def load_dataset(path, schema: Schema) -> Dataset:
                 records.append(rec)
                 row_numbers.append(irow)
         except csv.Error as exc:
-            stop = exc
+            stop = NonNumericCell(f"{path}: data row {irow + 1} cannot be read: {exc}")
     columns = {}
     try:
         for name, k in col_index.items():

@@ -33,6 +33,7 @@ from vinerisk.bicop import (
     family_tau_range,
     tau_to_param,
     _FAM,
+    _Args,
     _clip,
     _frank_tau_abs,
     _joe_tau,
@@ -605,16 +606,22 @@ def test_joe_tau_round_trip_against_integral(tau):
 # ---------------------------------------------------------------------------
 
 
+def _kernel(family, name):
+    """``(a, b, p) -> kernel(_Args(a, b), p)`` of ``family``'s ``name`` kernel."""
+    kernel = getattr(_FAM[family], name)
+    return lambda a, b, p: kernel(_Args(a, b), p)
+
+
 def _ladder_cdf(cop, u, v):
     u, v = _clip(u), _clip(v)
-    fam = _FAM[cop.family]
+    cdf = _kernel(cop.family, "cdf_k")
     if cop.rotation == 0:
-        return fam.cdf(u, v, cop.params)
+        return cdf(u, v, cop.params)
     if cop.rotation == 90:
-        return v - fam.cdf(1.0 - u, v, cop.params)
+        return v - cdf(1.0 - u, v, cop.params)
     if cop.rotation == 180:
-        return u + v - 1.0 + fam.cdf(1.0 - u, 1.0 - v, cop.params)
-    return u - fam.cdf(u, 1.0 - v, cop.params)
+        return u + v - 1.0 + cdf(1.0 - u, 1.0 - v, cop.params)
+    return u - cdf(u, 1.0 - v, cop.params)
 
 
 def _ladder_logpdf(cop, u, v):
@@ -626,7 +633,7 @@ def _ladder_logpdf(cop, u, v):
     elif cop.rotation == 270:
         v = 1.0 - v
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _FAM[cop.family].logpdf(u, v, cop.params)
+        out = _kernel(cop.family, "logpdf_k")(u, v, cop.params)
     return np.nan_to_num(out, nan=LOG_FLOOR, neginf=LOG_FLOOR, posinf=700.0)
 
 
@@ -646,7 +653,7 @@ def _ladder_logpdf(cop, u, v):
     ],
 )
 def test_logpdf_floors_non_finite_values_as_nan_to_num(monkeypatch, values):
-    monkeypatch.setattr(_FAM["gaussian"], "logpdf", staticmethod(lambda u, v, p: values.copy()))
+    monkeypatch.setattr(_FAM["gaussian"], "logpdf_k", staticmethod(lambda t, p: values.copy()))
     got = Bicop("gaussian", 0, (0.5,))._logpdf(0.3, 0.6)
     want = np.nan_to_num(values, nan=LOG_FLOOR, neginf=LOG_FLOOR, posinf=700.0)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
@@ -656,7 +663,7 @@ def test_logpdf_floors_non_finite_values_as_nan_to_num(monkeypatch, values):
 
 def _ladder_hfunc(cop, u, v, direction):
     u, v = _clip(u), _clip(v)
-    h, p, rot = _FAM[cop.family].hfunc, cop.params, cop.rotation
+    h, p, rot = _kernel(cop.family, "hfunc_k"), cop.params, cop.rotation
     if direction == "1|2":
         if rot == 0:
             out = h(u, v, p)
@@ -830,14 +837,14 @@ class _Stub:
     def __init__(self, base, logpdf=None):
         self.base, self.const, self.points = base, logpdf, 0
 
-    def hfunc(self, x, y, p):
-        self.points += np.size(x)
-        return self.base.hfunc(x, y, p)
+    def hfunc_k(self, t, p):
+        self.points += np.size(t.u)
+        return self.base.hfunc_k(t, p)
 
-    def logpdf(self, x, y, p):
+    def logpdf_k(self, t, p):
         if self.const is None:
-            return self.base.logpdf(x, y, p)
-        return np.full(np.shape(x), self.const)
+            return self.base.logpdf_k(t, p)
+        return np.full(np.shape(t.u), self.const)
 
 
 def test_newton_hinv_skips_nan_points():
@@ -858,7 +865,7 @@ def test_newton_hinv_bisects_when_density_is_useless(logpdf):
     q, y = (g.ravel() for g in np.meshgrid(np.linspace(0.01, 0.99, 9), [0.1, 0.5, 0.9]))
     stub = _Stub(_FAM["gumbel"], logpdf)
     x = _newton_hinv(stub, q, y, (2.0,))
-    assert_allclose(_FAM["gumbel"].hfunc(x, y, (2.0,)), q, atol=1e-12)
+    assert_allclose(_FAM["gumbel"].hfunc_k(_Args(x, y), (2.0,)), q, atol=1e-12)
     assert stub.points >= 40 * q.size
 
 
@@ -1485,18 +1492,24 @@ def test_prepared_kernels_equal_the_reference_formulas_to_the_bit(family, rotati
     up, um = _edge_columns(seed=11)
     vp, vm = _edge_columns(seed=12)
     vp[:4], vm[:4] = vp[[1, 0, 0, 1]], vm[[1, 0, 0, 1]]  # cross the EPS edges
-    obs = PairObs(up, vp, um if u_disc else None, vm if v_disc else None, u_disc, v_disc)
+
+    def pair(*memo_rotations):
+        out = PairObs(up, vp, um if u_disc else None, vm if v_disc else None, u_disc, v_disc)
+        for r in memo_rotations:
+            out.kernel_args(r)
+        return out
+
+    obs = pair()
     for params in _EDGE_PARAMS[family]:
         cop = Bicop(family, rotation, params)
         ref = _RefCop(cop)
         with np.errstate(all="ignore"):
             want = ref.condition(obs)
-            got = bicop_condition(cop, obs)
-            prepared = obs.prepare(rotation)
-            other = obs.prepare((rotation + 90) % 360)  # held arguments of another rotation
-            for pair in (obs, prepared, other):
-                assert _bits(bicop_loglik(cop, pair)) == _bits(float(np.sum(want[0]))), params
-            assert _bits(bicop_contributions(cop, prepared)) == _bits(want[0]), params
+            got = bicop_condition(cop, pair())
+            # a fresh pair, one whose memo holds this rotation, one that holds another
+            for case in (pair(), pair(rotation), pair((rotation + 90) % 360)):
+                assert _bits(bicop_loglik(cop, case)) == _bits(float(np.sum(want[0]))), params
+            assert _bits(bicop_contributions(cop, pair(rotation))) == _bits(want[0]), params
             assert _bits(got[0]) == _bits(want[0]), params
             for side, ref_side in zip(got[1:], want[1:]):
                 assert _bits(side[0]) == _bits(ref_side[0]), params

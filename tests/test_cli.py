@@ -183,6 +183,24 @@ class TestFitPredict:
         assert err.startswith("error:ValueError:")
         assert err.strip().count("\n") == 0
 
+    def test_oversized_csv_field_is_single_line_error(self, workspace, capsys):
+        # a 200 000-character quoted field is past csv.field_size_limit()
+        rows = workspace["data"].read_text().splitlines()
+        cells = rows[3].split(",")
+        cells[1] = '"' + "a" * 200_000 + '"'
+        rows[3] = ",".join(cells)
+        data = workspace["dir"] / "long.csv"
+        data.write_text("\n".join(rows) + "\n")
+        code, _, err = _run(
+            capsys, "fit", "--seed", "0",
+            "--data", str(data),
+            "--schema", str(workspace["schema"]),
+            "--out", str(workspace["dir"] / "m.json"),
+        )
+        assert code == 1
+        assert err.startswith(f"error:NonNumericCell:{data}: data row 3 cannot be read:")
+        assert err.strip().count("\n") == 0
+
 
 class TestEvaluateAndGroups:
     @pytest.fixture
@@ -227,6 +245,22 @@ class TestEvaluateAndGroups:
         )
         assert code == 1
         assert err.startswith("error:VineRiskError:")
+
+    def test_evaluate_oversized_field_is_single_line_error(self, workspace, probs, capsys):
+        lines = probs.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ',"' + "a" * 200_000 + '"'
+        long = workspace["dir"] / "long.csv"
+        long.write_text("\n".join(lines) + "\n")
+        code, _, err = _run(
+            capsys, "evaluate",
+            "--posteriors", str(long),
+            "--data", str(workspace["data"]),
+            "--schema", str(workspace["schema"]),
+            "--out", str(workspace["dir"] / "m.csv"),
+        )
+        assert code == 1
+        assert err.startswith(f"error:VineRiskError:{long}: line 4 cannot be read:")
+        assert err.strip().count("\n") == 0
 
     def test_risk_groups_default_alphas(self, workspace, probs, capsys):
         out = workspace["dir"] / "groups.csv"

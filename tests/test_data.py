@@ -204,11 +204,13 @@ _TOO_LONG = '"' + "a" * (csv.field_size_limit() + 1) + '"'
 
 
 def _row_by_row_error(path, schema):
-    """The error the row-by-row parse raised first: ``(type, message)``."""
+    """The error the row-by-row parse raised first: ``(type, message)``.  A
+    row the CSV reader cannot read is a ``NonNumericCell`` naming it."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
         names = schema.names + [schema.label, schema.aux]
+        irow = 0
         try:
             for irow, rec in enumerate(reader, start=1):
                 if not rec or all(cell.strip() == "" for cell in rec):
@@ -219,8 +221,10 @@ def _row_by_row_error(path, schema):
                     )
                 for name in names:
                     _parse_cell(rec[header.index(name)], name, irow)
-        except (MissingValue, NonNumericCell, csv.Error) as exc:
+        except (MissingValue, NonNumericCell) as exc:
             return type(exc), str(exc)
+        except csv.Error as exc:
+            return NonNumericCell, f"{path}: data row {irow + 1} cannot be read: {exc}"
     return None
 
 
@@ -242,6 +246,26 @@ def test_load_raises_the_error_the_row_by_row_parse_met_first(tmp_path, schema, 
     p = tmp_path / "bad.csv"
     p.write_text("bmi,bloodloss,y,nights\n" + "\n".join(rows) + "\n")
     want = _row_by_row_error(p, schema)
-    with pytest.raises((MissingValue, NonNumericCell, csv.Error)) as got:
+    with pytest.raises((MissingValue, NonNumericCell)) as got:
         load_dataset(p, schema)
     assert (type(got.value), str(got.value)) == want
+
+
+_LONG_FIELD = '"' + "a" * 200_000 + '"'
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        (f"bmi,bloodloss,y,nights\n\n22,1,0,1\n{_LONG_FIELD},1,0,1\n", "data row 3"),
+        (f"bmi,{_LONG_FIELD},y,nights\n22,1,0,1\n", "header row"),
+    ],
+    ids=["data-row", "header"],
+)
+def test_an_unreadable_csv_field_is_a_non_numeric_cell_naming_its_row(tmp_path, schema, text, where):
+    # a 200 000-character quoted field is past csv.field_size_limit()
+    p = tmp_path / "long.csv"
+    p.write_text(text)
+    with pytest.raises(NonNumericCell) as got:
+        load_dataset(p, schema)
+    assert str(got.value).startswith(f"{p}: {where} cannot be read: field larger than field limit")

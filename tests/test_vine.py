@@ -415,6 +415,42 @@ class TestFitVine:
         assert cop.family == "studentt"
         assert abs(cop.params[0] - rho) < 0.08
 
+    @pytest.mark.parametrize("u_disc,v_disc", [(False, False), (True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("rho", [0.5, -0.5])
+    def test_fit_edge_builds_one_kernel_args_per_rotation(self, monkeypatch, u_disc, v_disc, rho):
+        built, rotations, fits = [], set(), []
+        init, loglik, fit = bicop_module._Args.__init__, bicop_module.bicop_loglik, vine_module.bicop_fit
+
+        def counting_init(self, *args):
+            built.append(type(self).__name__)
+            init(self, *args)
+
+        def recording_loglik(cop, obs):
+            rotations.add(cop.rotation)
+            return loglik(cop, obs)
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args[:2])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(bicop_module._Args, "__init__", counting_init)
+        monkeypatch.setattr(bicop_module, "bicop_loglik", recording_loglik)
+        monkeypatch.setattr(vine_module, "bicop_loglik", recording_loglik)
+        monkeypatch.setattr(vine_module, "bicop_fit", counting_fit)
+        z = np.random.default_rng(5).multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=400)
+        sides = []
+        for col, disc in zip(z.T, (u_disc, v_disc)):
+            if disc:
+                codes = np.digitize(col, [-1.0, 0.0, 1.0]) + 1.0
+                margin = OrdinalMargin.fit(codes, 4)
+                sides.append((margin.cdf(codes), margin.cdf_left(codes)))
+            else:
+                sides.append((stats.rankdata(col) / (col.size + 1), None))
+        (up, um), (vp, vm) = sides
+        _fit_edge(PairObs(up, vp, um, vm, u_disc, v_disc), 1, 400, FitConfig())
+        assert fits and len(rotations) >= 2
+        assert len(built) == len(rotations)
+
     def test_empirical_tau_runs_once_per_edge(self, monkeypatch):
         counts = {"tau": 0, "edges": 0}
         fit_edge = vine_module._fit_edge
