@@ -46,9 +46,10 @@ transforms of its arguments that no parameter enters (:class:`_Args`:
 and a kernel that takes them with the parameters.  A pair's likelihood
 arguments, the mirrored and stacked corners, and their transforms are
 computed once per pair and rotation (:meth:`PairObs.kernel_args`) and
-shared by every candidate family's start and search, so each step of a
-search evaluates only the kernel.  The transforms are the subexpressions
-the kernels would compute in place, so the values are the same to the bit.
+shared by every candidate family's start and search and by the fitted
+copula's conditioning step, so each step of a search evaluates only the
+kernel.  The transforms are the subexpressions the kernels would compute
+in place, so the values are the same to the bit.
 
 Likelihood contributions for pairs with discrete components use CDF finite
 differences: one-sided differences of the conditional CDF when one side is
@@ -229,6 +230,20 @@ class _Args:
         up = self.u + self.v > 1.0
         a, b = np.where(up, 1.0 - self.u, self.u), np.where(up, 1.0 - self.v, self.v)
         return up, a, b, a + b
+
+    def swapped(self) -> "_Args":
+        """The arguments in the other order, ``(v, u)``, keeping the
+        transforms computed so far: each is one per argument, swapped, and
+        the fold's mask and sum do not depend on the order (``+`` commutes
+        exactly)."""
+        out = _Args(self.v, self.u)
+        for name, value in vars(self).items():
+            if name == "fold":
+                up, a, b, total = value
+                out.__dict__[name] = up, b, a, total
+            elif name not in ("u", "v"):
+                out.__dict__[name] = value[::-1]
+        return out
 
 
 class _Indep:
@@ -861,10 +876,21 @@ class PairObs:
     observed code (``*_plus``) and just below it (``*_minus``); for a
     continuous component the two coincide.  ``masses`` holds each discrete
     side's code probability ``plus - minus``, floored at ``MASS_FLOOR``.
+
+    ``rows`` is the row map: row ``i`` of the pair is entry ``rows[i]`` of
+    the columns, so a vine edge holds its columns once per distinct
+    combination of its inputs and is fitted and scored there.  Without a
+    row map every entry is a row.  :attr:`n`, :func:`bicop_contributions`,
+    :func:`bicop_loglik` and :func:`empirical_tau` are the rows'; the
+    kernels run on the columns only.  They are elementwise and do not
+    depend on the batch, and the contributions are summed in row order, so
+    a pair with a row map gives bitwise what the pair of its rows gives.
+
     ``kernel_memo`` maps a rotation to the pair's :meth:`kernel_args` for
     it, computed on first use: every candidate family of that rotation, its
-    start and its search share them.  Nothing reassigns a pair's columns
-    after construction, so the memo is never stale.
+    start and its search share them, and so does :func:`bicop_condition`.
+    Nothing reassigns a pair's columns after construction, so the memo is
+    never stale.
     """
 
     u_plus: np.ndarray
@@ -873,6 +899,7 @@ class PairObs:
     v_minus: Optional[np.ndarray] = None
     u_disc: bool = False
     v_disc: bool = False
+    rows: Optional[np.ndarray] = None
     masses: tuple = field(init=False, repr=False)
     kernel_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -888,10 +915,13 @@ class PairObs:
 
     @property
     def n(self) -> int:
-        return self.u_plus.shape[0]
+        """The number of rows."""
+        return (self.u_plus if self.rows is None else self.rows).shape[0]
 
     def midpoints(self):
-        return 0.5 * (self.u_plus + self.u_minus), 0.5 * (self.v_plus + self.v_minus)
+        """Each row's midpoints ``(plus + minus) / 2`` of the two sides."""
+        mid = 0.5 * (self.u_plus + self.u_minus), 0.5 * (self.v_plus + self.v_minus)
+        return mid if self.rows is None else tuple(m[self.rows] for m in mid)
 
     def kernel_args(self, rotation: int) -> tuple:
         """``(u, v, t)``: the arguments :func:`_likelihood` passes to a
@@ -923,26 +953,16 @@ class PairObs:
         self.kernel_memo[rotation] = u, v, t
         return u, v, t
 
-    def take(self, index) -> "PairObs":
-        """The pair at ``index``, as if built from the sides taken there."""
-        return PairObs(
-            self.u_plus[index],
-            self.v_plus[index],
-            self.u_minus[index] if self.u_disc else None,
-            self.v_minus[index] if self.v_disc else None,
-            u_disc=self.u_disc,
-            v_disc=self.v_disc,
-        )
-
 
 def _likelihood(cop: Bicop, obs: PairObs) -> tuple:
-    """The log contributions of :func:`bicop_contributions` and the terms
-    they are built from: the h-functions at a discrete side's (plus, minus)
-    corners, C at the four corners ``(++, +-, -+, --)`` when both sides are
-    discrete, none for a continuous pair.  Each corner set is one kernel
-    call on :meth:`PairObs.kernel_args`, the corners stacked along a leading
-    axis against the shared side: the kernels are elementwise, so each
-    corner is what a call of its own gives."""
+    """The log contributions of :func:`bicop_contributions`, on the pair's
+    columns (before the row map), and the terms they are built from: the
+    h-functions at a discrete side's (plus, minus) corners, C at the four
+    corners ``(++, +-, -+, --)`` when both sides are discrete, none for a
+    continuous pair.  Each corner set is one kernel call on
+    :meth:`PairObs.kernel_args`, the corners stacked along a leading axis
+    against the shared side: the kernels are elementwise, so each corner is
+    what a call of its own gives."""
     u, v, t = obs.kernel_args(cop.rotation)
     if obs.u_disc and obs.v_disc:
         (cpp, cpm), (cmp_, cmm) = cop._cdf(u, v, t)
@@ -967,16 +987,19 @@ def bicop_contributions(cop: Bicop, obs: PairObs) -> np.ndarray:
     discrete side contribute log finite differences of the conditional CDF,
     and fully discrete pairs log rectangle probabilities, each floored at
     ``log(1e-300)`` and then less the log mass of each discrete side
-    (:attr:`PairObs.masses`), so independence contributes zero.
+    (:attr:`PairObs.masses`), so independence contributes zero.  They are
+    computed on the pair's columns and taken to the rows by the row map.
     """
-    return _likelihood(cop, obs)[0]
+    contrib = _likelihood(cop, obs)[0]
+    return contrib if obs.rows is None else contrib[obs.rows]
 
 
 def bicop_condition(cop: Bicop, obs: PairObs, sides=(True, True)) -> tuple:
     """One pair-copula step of a vine: ``(contributions, u_given, v_given)``.
 
-    ``contributions`` are :func:`bicop_contributions`.  ``u_given`` and
-    ``v_given`` are ``u | v`` and ``v | u``, the next tree's
+    All three are on the pair's columns, before its row map:
+    ``contributions`` are :func:`bicop_contributions` there.  ``u_given``
+    and ``v_given`` are ``u | v`` and ``v | u``, the next tree's
     pseudo-observations: an h-function given a continuous side, the
     difference of C across a discrete side's code over its mass
     (Panagiotelis, Czado & Joe 2012).  Each is ``(plus, minus)`` clipped
@@ -984,10 +1007,13 @@ def bicop_condition(cop: Bicop, obs: PairObs, sides=(True, True)) -> tuple:
     and None for a continuous one.  ``sides`` says which of the two to
     compute, ``(u | v, v | u)``; a side not asked for comes back as None.
     Each copula term is evaluated once, and a corner set in one kernel
-    call.  An independence edge hands both sides on as they came:
-    ``u | v = u``.
+    call, on the pair's :meth:`PairObs.kernel_args` for the rotation (in the
+    other order, :meth:`_Args.swapped`, where the kernel takes the sides the
+    other way round).  An independence edge hands both sides on as they
+    came: ``u | v = u``.
     """
     contrib, terms = _likelihood(cop, obs)
+    u, v, t = obs.kernel_args(cop.rotation)
     up, um, vp, vm = obs.u_plus, obs.u_minus, obs.v_plus, obs.v_minus
     mass_u, mass_v = obs.masses
     if cop.family == "indep":
@@ -1004,17 +1030,17 @@ def bicop_condition(cop: Bicop, obs: PairObs, sides=(True, True)) -> tuple:
     elif obs.u_disc:
         given = (
             lambda: terms,
-            lambda: (np.subtract(*cop._cdf(np.stack([up, um]), vp)) / mass_u, None),
+            lambda: (np.subtract(*cop._cdf(u, v, t)) / mass_u, None),
         )
     elif obs.v_disc:
         given = (
-            lambda: (np.subtract(*cop._cdf(up, np.stack([vp, vm]))) / mass_v, None),
+            lambda: (np.subtract(*cop._cdf(u, v, t.swapped())) / mass_v, None),
             lambda: terms,
         )
     else:
         given = (
-            lambda: (cop._hfunc(up, vp, "1|2"), None),
-            lambda: (cop._hfunc(up, vp, "2|1"), None),
+            lambda: (cop._hfunc(u, v, "1|2", t), None),
+            lambda: (cop._hfunc(u, v, "2|1", t.swapped()), None),
         )
     return contrib, *(_clip_given(*side()) if want else None for side, want in zip(given, sides))
 

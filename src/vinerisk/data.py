@@ -290,23 +290,26 @@ class Dataset:
         return parts
 
     def to_csv(self, path) -> None:
-        """Write the table; floats use repr precision so reload is exact.
-        Each column is formatted in one pass and the rows written at once."""
+        """Write the table: floats as ``%.17g``, 17 significant digits, so
+        reload is exact, and ordinal codes and labels as integers, with CRLF
+        line ends.  The header goes through ``csv.writer``, which quotes a
+        name that needs it; the rows are formatted in one ``%`` pass over
+        the whole table."""
         header = list(self.schema.names)
-        columns = [
-            [str(int(v)) for v in col] if spec.is_ordinal else [format(v, ".17g") for v in col]
-            for spec, col in zip(self.schema.variables, self.x.T.tolist())
-        ]
+        specs = ["%d" if spec.is_ordinal else "%.17g" for spec in self.schema.variables]
+        columns = [self.x]
         if self.schema.label is not None and self.labels is not None:
             header.append(self.schema.label)
-            columns.append([str(int(v)) for v in self.labels.tolist()])
+            specs.append("%d")
+            columns.append(self.labels[:, None])
         if self.schema.aux is not None and self.aux is not None:
             header.append(self.schema.aux)
-            columns.append([format(v, ".17g") for v in self.aux.tolist()])
+            specs.append("%.17g")
+            columns.append(self.aux[:, None])
+        row = ",".join(specs) + "\r\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(zip(*columns))
+            csv.writer(fh).writerow(header)
+            fh.write(row * self.n % tuple(np.hstack(columns).ravel().tolist()))
 
 
 def load_dataset(path, schema: Schema) -> Dataset:

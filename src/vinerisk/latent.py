@@ -11,9 +11,12 @@ does not load ``scipy.stats``.
 Ordinal codes pass :func:`~vinerisk.data.ordinal_codes` first, so a code
 outside ``1..levels`` raises OrdinalOutOfRange instead of shifting the
 thresholds.
-The assembled matrix is repaired to positive definiteness by eigenvalue
-clipping, and partial correlations are read off the inverse of its
-principal sub-matrices.
+The matrix computes each column's transforms once (:class:`LatentColumn`:
+an ordinal column's codes and thresholds, a continuous column's normal
+scores) and hands them to :func:`pairwise_latent_rho` for every pair it
+joins.  The assembled matrix is repaired to positive definiteness by
+eigenvalue clipping, and partial correlations are read off the inverse of
+its principal sub-matrices.
 """
 
 from __future__ import annotations
@@ -52,12 +55,19 @@ def normal_scores(x) -> np.ndarray:
     return ndtri(midranks(x) / (x.size + 1.0))
 
 
+def _check_rows(n: int) -> None:
+    if n < MIN_ROWS:
+        raise TooFewObservations(f"need at least {MIN_ROWS} rows, got {n}")
+
+
 def normal_scores_pearson(x, y) -> float:
     """Pearson correlation of the normal scores of two continuous samples."""
     x = np.asarray(x, float)
-    if x.size < MIN_ROWS:
-        raise TooFewObservations(f"need at least {MIN_ROWS} rows, got {x.size}")
-    zx, zy = normal_scores(x), normal_scores(y)
+    _check_rows(x.size)
+    return _pearson(normal_scores(x), normal_scores(y))
+
+
+def _pearson(zx, zy) -> float:
     if zx.std() == 0.0 or zy.std() == 0.0:
         raise DegenerateMargin("constant column in correlation estimate")
     return float(np.corrcoef(zx, zy)[0, 1])
@@ -68,21 +78,42 @@ def ordinal_thresholds(codes, levels: int) -> np.ndarray:
 
     Returns an array of length ``levels + 1`` including ``-inf`` and ``inf``.
     """
-    probs = smoothed_level_probs(ordinal_codes(codes, levels), levels)
-    cum = np.cumsum(probs)[:-1]
+    return _thresholds(ordinal_codes(codes, levels), levels)
+
+
+def _thresholds(codes, levels: int) -> np.ndarray:
+    cum = np.cumsum(smoothed_level_probs(codes, levels))[:-1]
     return np.concatenate(([-np.inf], ndtri(cum), [np.inf]))
+
+
+class LatentColumn:
+    """One variable's transforms for its latent correlations, computed once:
+    an ordinal column's integer ``codes`` and ``thresholds``
+    (:func:`ordinal_thresholds`), or a continuous column's normal
+    ``scores``.  ``n`` is the number of rows."""
+
+    def __init__(self, x, spec):
+        if spec.is_ordinal:
+            self.codes = ordinal_codes(x, spec.levels)
+            self.thresholds = _thresholds(self.codes, spec.levels)
+            self.n = self.codes.size
+        else:
+            x = np.asarray(x, float)
+            self.scores = normal_scores(x)
+            self.n = x.size
 
 
 def polyserial_rho(x, codes, levels: int) -> float:
     """Two-step polyserial correlation of a continuous and an ordinal sample."""
     x = np.asarray(x, float)
     codes = ordinal_codes(codes, levels)
-    if x.size < MIN_ROWS:
-        raise TooFewObservations(f"need at least {MIN_ROWS} rows, got {x.size}")
-    z = normal_scores(x)
+    _check_rows(x.size)
+    return _polyserial(normal_scores(x), codes, _thresholds(codes, levels))
+
+
+def _polyserial(z, codes, thr) -> float:
     if z.std() == 0.0:
         raise DegenerateMargin("constant continuous column in polyserial estimate")
-    thr = ordinal_thresholds(codes, levels)
     t_hi = thr[codes]
     t_lo = thr[codes - 1]
 
@@ -98,11 +129,12 @@ def polychoric_rho(codes1, levels1: int, codes2, levels2: int) -> float:
     """Two-step polychoric correlation of two ordinal samples."""
     codes1 = ordinal_codes(codes1, levels1)
     codes2 = ordinal_codes(codes2, levels2)
-    if codes1.size < MIN_ROWS:
-        raise TooFewObservations(f"need at least {MIN_ROWS} rows, got {codes1.size}")
-    thr1 = ordinal_thresholds(codes1, levels1)
-    thr2 = ordinal_thresholds(codes2, levels2)
-    counts = np.zeros((levels1, levels2))
+    _check_rows(codes1.size)
+    return _polychoric(codes1, _thresholds(codes1, levels1), codes2, _thresholds(codes2, levels2))
+
+
+def _polychoric(codes1, thr1, codes2, thr2) -> float:
+    counts = np.zeros((thr1.size - 1, thr2.size - 1))
     np.add.at(counts, (codes1 - 1, codes2 - 1), 1.0)
     g1, g2 = np.meshgrid(thr1, thr2, indexing="ij")
 
@@ -115,14 +147,22 @@ def polychoric_rho(codes1, levels1: int, codes2, levels2: int) -> float:
 
 
 def pairwise_latent_rho(xi, spec_i, xj, spec_j) -> float:
-    """Latent correlation of one variable pair, dispatched on variable kinds."""
+    """Latent correlation of one variable pair, dispatched on variable kinds.
+
+    ``xi`` and ``xj`` are the two columns' values, or their
+    :class:`LatentColumn` when the caller has it: the estimate, its checks
+    and its errors are the same either way.
+    """
+    ci = xi if isinstance(xi, LatentColumn) else LatentColumn(xi, spec_i)
+    cj = xj if isinstance(xj, LatentColumn) else LatentColumn(xj, spec_j)
+    _check_rows(ci.n)
     if spec_i.is_ordinal and spec_j.is_ordinal:
-        return polychoric_rho(xi, spec_i.levels, xj, spec_j.levels)
+        return _polychoric(ci.codes, ci.thresholds, cj.codes, cj.thresholds)
     if spec_i.is_ordinal:
-        return polyserial_rho(xj, xi, spec_i.levels)
+        return _polyserial(cj.scores, ci.codes, ci.thresholds)
     if spec_j.is_ordinal:
-        return polyserial_rho(xi, xj, spec_j.levels)
-    return normal_scores_pearson(xi, xj)
+        return _polyserial(ci.scores, cj.codes, cj.thresholds)
+    return _pearson(ci.scores, cj.scores)
 
 
 def make_positive_definite(m, floor: float = EIG_FLOOR) -> np.ndarray:
@@ -139,14 +179,17 @@ def make_positive_definite(m, floor: float = EIG_FLOOR) -> np.ndarray:
 
 
 def latent_correlation_matrix(ds: Dataset) -> np.ndarray:
-    """Pairwise latent correlations of all modeled variables, PD-repaired."""
-    d = ds.d
+    """Pairwise latent correlations of all modeled variables, PD-repaired.
+
+    Each column's transforms are computed once (:class:`LatentColumn`), and
+    each pair's :func:`pairwise_latent_rho` reads them.
+    """
+    d, specs = ds.d, ds.schema.variables
     m = np.eye(d)
+    cols = [LatentColumn(ds.x[:, j], spec) for j, spec in enumerate(specs)] if d > 1 else []
     for i in range(d):
         for j in range(i + 1, d):
-            rho = pairwise_latent_rho(
-                ds.x[:, i], ds.schema.variables[i], ds.x[:, j], ds.schema.variables[j]
-            )
+            rho = pairwise_latent_rho(cols[i], specs[i], cols[j], specs[j])
             m[i, j] = m[j, i] = rho
     return make_positive_definite(m)
 

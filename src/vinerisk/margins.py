@@ -90,10 +90,17 @@ class KernelMargin:
         self._step = span / max(nodes - 1, 1)
         x = self._lo + self._step * np.arange(int(nodes))
         e_mean, ze_mean = np.empty(x.size), np.empty(x.size)
+        buf = None
         for rows, z in self._blocks(x):
-            e = _gauss(z)
+            # _gauss(z) and z * _gauss(z), each step in place
+            buf = np.empty_like(z) if buf is None else buf
+            e = buf[: z.shape[0]]
+            np.multiply(z, -0.5, out=e)
+            np.multiply(e, z, out=e)
+            np.exp(e, out=e)
             e_mean[rows] = e.mean(axis=-1)
-            ze_mean[rows] = (z * e).mean(axis=-1)
+            np.multiply(z, e, out=z)
+            ze_mean[rows] = z.mean(axis=-1)
         scale = h * np.sqrt(2.0 * np.pi)
         self._f = e_mean / scale
         df = -ze_mean / (h * scale)
@@ -123,10 +130,15 @@ class KernelMargin:
         """Row slices of the values ``flat`` and their (values x centres)
         standardised distances ``z = (x - centre) / bandwidth``, in row
         blocks of at most ``BLOCK_CELLS`` cells, so that temporaries stay in
-        cache."""
+        cache.  Each block is computed into one buffer, which the next block
+        overwrites, so a caller may also overwrite it."""
         rows = max(1, BLOCK_CELLS // self.centers.size)
+        buf = np.empty((min(rows, flat.size), self.centers.size))
         for i in range(0, flat.size, rows):
-            yield slice(i, i + rows), (flat[i : i + rows, None] - self.centers) / self.bandwidth
+            z = buf[: min(rows, flat.size - i)]
+            np.subtract(flat[i : i + rows, None], self.centers, out=z)
+            z /= self.bandwidth
+            yield slice(i, i + rows), z
 
     def _kernel_mean(self, x, kernel):
         """Mean of ``kernel(z)`` over the centres for each value of ``x``;

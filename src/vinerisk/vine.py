@@ -14,11 +14,11 @@ criterion with a geometrically decaying prior on non-independence edges;
 only the candidates that score best at their tau-inversion start get the
 maximum-likelihood fit.
 Margins are evaluated once per distinct value of each column, and each
-edge is scored once per distinct combination of its varying constraint-set
-columns (those of its conditioned pair and conditioning set that take more
-than one value in the call), then scattered back to the rows, so grids
-whose rows share values cost no repeated work.  A row's log density is
-bitwise what scoring it alone gives.
+edge is fitted and scored once per distinct combination of its varying
+constraint-set columns (those of its conditioned pair and conditioning set
+that take more than one value in the call), then mapped back to the rows,
+so rows that share values cost no repeated work.  A row's log density is
+bitwise what scoring it alone gives, and a fit bitwise that on the rows.
 
 An edge computes only the conditioned sides a later edge reads
 (:func:`_read_columns`).  A dependent edge reads both of its sides.  An
@@ -62,10 +62,17 @@ from .latent import partial_correlation
 from .margins import margin_from_dict
 
 #: Candidates per edge that get the bounded MLE, the best-scoring at their
-#: tau-inversion start.  On simulated pairs of every family, rotation and
-#: kind of margin, the full search's winner ranked 4th at most.  Two binary
-#: sides are never screened: they have one candidate (:func:`_edge_candidates`).
-SCREEN_KEEP = 4
+#: tau-inversion start; an edge with both sides discrete gets one more.
+#: Over the 310 dependent edges of 19 cohorts (the benchmark's reference
+#: cohort, 8 of its ``train`` cohorts and 10 of 81 adverse and 686 other
+#: rows), the full search's winner ranked 1st by start score on 289, 2nd on
+#: 19, 3rd on 2 and never lower, so three fits kept every selection.  On
+#: simulated pairs of 300 rows it ranked 4th on 19 of 339 with two 3-level
+#: sides (``tests/test_vine.py``), hence their fourth fit, and on 5 of 2321
+#: with at most one discrete side, where three fits pick another family at
+#: a log-likelihood cost of 0.05 to 0.88.  Two binary sides are never
+#: screened: they have one candidate (:func:`_edge_candidates`).
+SCREEN_KEEP = 3
 
 
 @dataclass(frozen=True)
@@ -341,10 +348,10 @@ class _Columns:
             self._keys[s] = key
         return self._keys[s]
 
-    def pair(self, edge: Edge) -> tuple:
+    def pair(self, edge: Edge) -> PairObs:
         """The pair of an edge's conditioned variables given its conditioning
-        set, on the distinct combinations of the edge's varying columns, and
-        each row's combination."""
+        set, on the distinct combinations of the edge's varying columns,
+        with each row's combination as its row map."""
         sides = self._sides(edge)
         keys = [self._key(t) for t, _, _ in sides]
         s = sides[0][0] | sides[1][0]
@@ -356,7 +363,9 @@ class _Columns:
                 plus, minus = plus[rows], None if minus is None else minus[rows]
             gathered.append((plus, minus))
         (up, ulo), (vp, vlo) = gathered
-        return PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None), inverse
+        return PairObs(
+            up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None, rows=inverse
+        )
 
     def _sides(self, edge: Edge) -> list:
         return [self._cols.get((j, edge.conditioning), self._unread) for j in edge.conditioned]
@@ -399,11 +408,14 @@ def _fit_edge(
     """Pick the score-minimizing family/rotation for one edge:
     ``(copula, loglik, score)``.
 
+    ``obs`` holds the edge on the distinct combinations of its inputs,
+    with its row map (:class:`~vinerisk.bicop.PairObs`): every kernel runs
+    on the combinations, and the likelihoods and tau are the rows'.
     Every admissible candidate is ranked by its score at the tau-inversion
     start (:func:`~vinerisk.bicop.bicop_start`), and only the
-    ``SCREEN_KEEP`` best get the bounded MLE of
-    :func:`~vinerisk.bicop.bicop_fit`, in candidate order, from that start
-    (the ``preselect_families`` step of vinecopulib).  A fitted candidate's
+    ``SCREEN_KEEP`` best, one more when both sides are discrete, get the
+    bounded MLE of :func:`~vinerisk.bicop.bicop_fit`, in candidate order,
+    from that start (the ``preselect_families`` step of vinecopulib).  A fitted candidate's
     loglik is the maximum ``bicop_fit`` returns, net of any discrete side's
     masses, so independence contributes zero and deviances stay comparable
     across continuous, mixed and discrete pairs.
@@ -431,7 +443,8 @@ def _fit_edge(
         except (ValueError, FloatingPointError):
             continue
     ranked = sorted(enumerate(starts), key=lambda item: score(*item[1]))
-    for _, start in sorted(ranked[:SCREEN_KEEP]):
+    keep = SCREEN_KEEP + (obs.u_disc and obs.v_disc)
+    for _, start in sorted(ranked[:keep]):
         try:
             cop, ll = bicop_fit(start[0].family, start[0].rotation, obs, start=start)
         except (ValueError, FloatingPointError):
@@ -495,6 +508,10 @@ def fit_vine(
     With the default greedy truncation search, fitting stops after the
     first tree whose edges all come out independent; the full search fits
     every level and drops trailing independence trees afterwards.
+
+    Each edge is fitted on the distinct combinations of its varying input
+    columns, mapped to the rows by its pair's row map (:meth:`_Columns.pair`),
+    and that same pair conditions its sides for the next tree.
     """
     config = config or FitConfig()
     x = np.asarray(x, dtype=float)
@@ -510,8 +527,7 @@ def fit_vine(
     for level, tree in enumerate(structure.trees, start=1):
         pairs = [cols.pair(edge) for edge in tree]
         fitted = [
-            FittedEdge(edge, *_fit_edge(obs.take(inverse), level, n, config))
-            for edge, (obs, inverse) in zip(tree, pairs)
+            FittedEdge(edge, *_fit_edge(obs, level, n, config)) for edge, obs in zip(tree, pairs)
         ]
         trees.append(fitted)
         any_dependence = any(fe.bicop.family != "indep" for fe in fitted)
@@ -521,7 +537,7 @@ def fit_vine(
             break
         if level < len(structure.trees):
             read = _read_columns([[(e, False) for e in structure.trees[level]]], discrete)
-            for fe, (obs, _) in zip(fitted, pairs):
+            for fe, obs in zip(fitted, pairs):
                 sides = [out in read for out in _outputs(fe.edge)]
                 cols.store(fe.edge, *bicop_condition(fe.bicop, obs, sides)[1:])
     trees = trees[:truncation]
@@ -557,10 +573,10 @@ def vine_logdensity(model: VineModel, x: np.ndarray, distinct=None) -> np.ndarra
     for fe in model.all_edges():
         if not any((j, fe.edge.conditioning) in read for j in fe.edge.conditioned):
             continue  # independence of two continuous sides, passed on to no one: 0
-        obs, inverse = cols.pair(fe.edge)
+        obs = cols.pair(fe.edge)
         sides = [out in read for out in _outputs(fe.edge)]
         contrib, u_given, v_given = bicop_condition(fe.bicop, obs, sides)
-        logf += contrib[inverse]
+        logf += contrib[obs.rows]
         cols.store(fe.edge, u_given, v_given)
     return logf
 

@@ -1619,3 +1619,22 @@ def test_studentt_searches_log_nu_at_the_start_rho(monkeypatch):
     assert calls == [(math.log(2.05), math.log(30.0))]
     assert cop.params[0] == start[0].params[0] and 2.05 < cop.params[1] < 30.0
     assert ll == bicop_loglik(cop, obs)
+
+
+@pytest.mark.parametrize("u_disc,v_disc", [(False, False), (True, False), (False, True), (True, True)])
+def test_condition_reuses_the_transforms_of_the_likelihood(monkeypatch, u_disc, v_disc):
+    # a fit leaves the pair's kernel arguments in its memo; conditioning the
+    # sides on the fitted copula then computes no transform again
+    calls = []
+
+    def counted_ndtri(x):
+        calls.append(np.shape(x))
+        return ndtri(x)
+
+    (up, ulo), (vp, vlo) = _oracle_columns()
+    obs = PairObs(up, vp, ulo if u_disc else None, vlo if v_disc else None, u_disc, v_disc)
+    cop = make("gaussian", 0, 0.4)
+    bicop_module.bicop_loglik(cop, obs)
+    monkeypatch.setattr(bicop_module, "ndtri", counted_ndtri)
+    bicop_condition(cop, obs)
+    assert calls == []

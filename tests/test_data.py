@@ -269,3 +269,43 @@ def test_an_unreadable_csv_field_is_a_non_numeric_cell_naming_its_row(tmp_path, 
     with pytest.raises(NonNumericCell) as got:
         load_dataset(p, schema)
     assert str(got.value).startswith(f"{p}: {where} cannot be read: field larger than field limit")
+
+
+_GOLDEN_SCHEMA = Schema(
+    variables=(
+        VariableSpec("dose", "continuous"),
+        VariableSpec("grade, 1-3", "ordinal", levels=3),
+        VariableSpec("age", "continuous"),
+    ),
+    label="outcome",
+    aux="weight",
+)
+
+_GOLDEN_BYTES = (
+    b'dose,"grade, 1-3",age,outcome,weight\r\n'
+    b"-0,1,1e-300,1,0.5\r\n"
+    b"10000000000000000,3,0.10000000000000001,0,10000000000000000\r\n"
+    b"2.5,2,-0.33333333333333331,1,-0\r\n"
+)
+
+
+def _golden_dataset():
+    x = np.array([[-0.0, 1.0, 1e-300], [1e16, 3.0, 0.1], [2.5, 2.0, -1.0 / 3.0]])
+    return Dataset(_GOLDEN_SCHEMA, x, labels=np.array([1, 0, 1]), aux=np.array([0.5, 1e16, -0.0]))
+
+
+def test_to_csv_golden_bytes(tmp_path):
+    path = tmp_path / "golden.csv"
+    _golden_dataset().to_csv(path)
+    assert path.read_bytes() == _GOLDEN_BYTES
+
+
+def test_the_golden_file_loads_back_exactly(tmp_path):
+    path = tmp_path / "golden.csv"
+    path.write_bytes(_GOLDEN_BYTES)
+    ds, back = _golden_dataset(), load_dataset(path, _GOLDEN_SCHEMA)
+    # bytes, so that -0.0 must come back as -0.0
+    assert back.x.tobytes() == ds.x.tobytes()
+    assert back.aux.tobytes() == ds.aux.tobytes()
+    np.testing.assert_array_equal(back.labels, ds.labels)
+

@@ -192,3 +192,69 @@ class TestPartialCorrelation:
             for b in range(a + 1, 7):
                 rest = frozenset(range(7)) - {a, b}
                 assert abs(partial_correlation(r, a, b, rest)) < 1.0
+
+
+def _mixed_dataset(n, seed):
+    """Two continuous and three ordinal columns (3, 5 and 2 levels) of a
+    latent Gaussian with correlations 0.5 ** |i - j|."""
+    idx = np.arange(5)
+    z = np.random.default_rng(seed).multivariate_normal(
+        np.zeros(5), 0.5 ** np.abs(idx[:, None] - idx), size=n
+    )
+    x = z.copy()
+    for j, cuts in ((1, [-0.5, 0.5]), (3, [-1.0, -0.2, 0.4, 1.1]), (4, [0.3])):
+        x[:, j] = np.digitize(z[:, j], cuts) + 1.0
+    specs = [
+        VariableSpec("c1", "continuous"),
+        VariableSpec("o1", "ordinal", 3),
+        VariableSpec("c2", "continuous"),
+        VariableSpec("o2", "ordinal", 5),
+        VariableSpec("o3", "ordinal", 2),
+    ]
+    return Dataset(Schema(tuple(specs)), x)
+
+
+def test_latent_matrix_equals_its_pairwise_estimates():
+    ds = _mixed_dataset(400, 3)
+    specs = ds.schema.variables
+    want = np.eye(ds.d)
+    for i in range(ds.d):
+        for j in range(i + 1, ds.d):
+            want[i, j] = want[j, i] = pairwise_latent_rho(ds.x[:, i], specs[i], ds.x[:, j], specs[j])
+    np.testing.assert_array_equal(latent_correlation_matrix(ds), make_positive_definite(want))
+
+
+def test_latent_matrix_transforms_each_column_once(monkeypatch):
+    from vinerisk import latent as latent_module
+
+    calls = {"scores": 0, "pairs": 0}
+    scores, pairwise = latent_module.normal_scores, latent_module.pairwise_latent_rho
+
+    def counted_scores(x):
+        calls["scores"] += 1
+        return scores(x)
+
+    def counted_pairwise(*args):
+        calls["pairs"] += 1
+        return pairwise(*args)
+
+    monkeypatch.setattr(latent_module, "normal_scores", counted_scores)
+    monkeypatch.setattr(latent_module, "pairwise_latent_rho", counted_pairwise)
+    latent_correlation_matrix(_mixed_dataset(200, 4))
+    # 2 continuous columns, 10 pairs
+    assert calls == {"scores": 2, "pairs": 10}
+
+
+@pytest.mark.parametrize("column", [0, 2])
+def test_latent_matrix_rejects_a_constant_continuous_column(column):
+    ds = _mixed_dataset(100, 5)
+    x = ds.x.copy()
+    x[:, column] = 1.5
+    with pytest.raises(DegenerateMargin):
+        latent_correlation_matrix(Dataset(ds.schema, x))
+
+
+def test_latent_matrix_needs_enough_rows():
+    ds = _mixed_dataset(9, 6)
+    with pytest.raises(TooFewObservations):
+        latent_correlation_matrix(ds)

@@ -22,8 +22,10 @@ from vinerisk.bicop import (
     PairObs,
     _gauss_legendre,
     bicop_condition,
+    bicop_contributions,
     bicop_fit,
     bicop_loglik,
+    bicop_start,
     empirical_tau,
     tau_to_param,
     _FAM,
@@ -621,8 +623,9 @@ class TestCandidateScreen:
         monkeypatch.setattr(vine_module, "bicop_start", failing_start)
         monkeypatch.setattr(vine_module, "bicop_fit", counting_fit)
         got = _fit_edge(obs, 1, 300, FitConfig())
-        # 7 candidates remain without the two Gumbel rotations; 4 are fitted
-        assert len(fitted) == vine_module.SCREEN_KEEP and "gumbel" not in fitted
+        # 7 candidates remain without the two Gumbel rotations; the sides
+        # are continuous, so SCREEN_KEEP (3) of them are fitted
+        assert len(fitted) == vine_module.SCREEN_KEEP == 3 and "gumbel" not in fitted
         families = tuple(f for f in FitConfig().families if f != "gumbel")
         assert got == _full_search(obs, 1, 300, FitConfig(families=families))
 
@@ -631,9 +634,10 @@ class TestCandidateScreen:
         fit_edge, start = vine_module._fit_edge, vine_module.bicop_start
         fit, loglik = vine_module.bicop_fit, bicop_module.bicop_loglik
 
-        def counting_fit_edge(*args):
-            edges.append({"starts": [], "fits": 0, "evals": collections.Counter()})
-            return fit_edge(*args)
+        def counting_fit_edge(obs, *args):
+            keep = vine_module.SCREEN_KEEP + (obs.u_disc and obs.v_disc)
+            edges.append({"starts": [], "fits": 0, "evals": collections.Counter(), "keep": keep})
+            return fit_edge(obs, *args)
 
         def counting_start(*args):
             cop, ll = start(*args)
@@ -653,17 +657,72 @@ class TestCandidateScreen:
         monkeypatch.setattr(vine_module, "bicop_fit", counting_fit)
         monkeypatch.setattr(bicop_module, "bicop_loglik", counting_loglik)
         rng = np.random.default_rng(3)
-        idx = np.arange(3)
-        z = rng.multivariate_normal(np.zeros(3), 0.6 ** np.abs(idx[:, None] - idx), size=300)
-        codes = (np.digitize(z[:, 2], [-0.5, 0.5]) + 1).astype(float)
+        idx = np.arange(4)
+        z = rng.multivariate_normal(np.zeros(4), 0.6 ** np.abs(idx[:, None] - idx), size=300)
+        codes = (np.digitize(z[:, 2:], [-0.5, 0.5]) + 1).astype(float)
         x = np.column_stack([z[:, :2], codes])
-        margins = [KernelMargin.fit(z[:, 0]), KernelMargin.fit(z[:, 1]), OrdinalMargin.fit(codes, 3)]
-        fit_vine(x, margins, _chain_structure(3), FitConfig())
-        screened = [e for e in edges if len(e["starts"]) > vine_module.SCREEN_KEEP]
+        margins = [KernelMargin.fit(z[:, 0]), KernelMargin.fit(z[:, 1])]
+        margins += [OrdinalMargin.fit(codes[:, 0], 3), OrdinalMargin.fit(codes[:, 1], 3)]
+        fit_vine(x, margins, _chain_structure(4), FitConfig())
+        # three fits, four when both sides are discrete (the edge of the two
+        # 3-level columns)
+        screened = [e for e in edges if len(e["starts"]) > e["keep"]]
         assert len(screened) >= 2
+        assert any(e["keep"] == 4 and e["fits"] == 4 for e in screened)
         for e in edges:
-            assert e["fits"] == min(len(e["starts"]), vine_module.SCREEN_KEEP)
+            assert e["fits"] == min(len(e["starts"]), e["keep"])
             assert all(e["evals"][cop] == 1 for cop in e["starts"])
+
+
+def _winner_start_rank(obs, n, config):
+    """Rank by start score (1 = best) of the full search's winner; None when
+    independence wins."""
+    winner = _full_search(obs, 1, n, config)[0]
+    if winner.family == "indep":
+        return None
+    tau = empirical_tau(obs)
+    starts = [
+        bicop_start(fam, rot, obs, tau)
+        for fam, rot in _edge_candidates(config.families, tau, obs.u_disc or obs.v_disc, False)
+    ]
+    scores = {
+        (cop.family, cop.rotation): -2.0 * ll + edge_penalty(1, cop.npar, n, config.psi0, False)
+        for cop, ll in starts
+    }
+    ranked = sorted(scores, key=scores.get)
+    return 1 + ranked.index((winner.family, winner.rotation))
+
+
+# Pairs with two 3-level sides whose full-search winner ranks 4th by start
+# score, found by sweeping the cases of _SCREEN_CASES other than the
+# Student-t (taus 0.1, 0.2, 0.3, 0.45 and 0.6; seeds 0 to 5): (family,
+# rotation, tau, seed)
+_FOURTH_RANKED = [
+    ("gaussian", 0, 0.6, 2),
+    ("gaussian", 0, -0.45, 1),
+    ("gaussian", 0, -0.6, 2),
+    ("frank", 0, 0.6, 2),
+    ("frank", 0, -0.45, 1),
+    ("clayton", 180, 0.2, 1),
+    ("clayton", 180, 0.3, 1),
+    ("clayton", 270, -0.45, 3),
+    ("clayton", 270, -0.45, 5),
+    ("gumbel", 0, 0.45, 1),
+    ("gumbel", 0, 0.45, 3),
+    ("gumbel", 0, 0.6, 2),
+    ("gumbel", 90, -0.45, 3),
+    ("gumbel", 90, -0.6, 3),
+    ("joe", 0, 0.6, 4),
+]
+
+
+@pytest.mark.parametrize("family,rotation,tau,seed", _FOURTH_RANKED)
+def test_two_discrete_sides_keep_a_fourth_fit(family, rotation, tau, seed):
+    cop = Bicop(family, rotation, tau_to_param(family, tau, rotation))
+    obs = _simulated_pair(cop, 300, "uv", seed=(seed, 3), levels=3)
+    config = FitConfig()
+    assert _winner_start_rank(obs, 300, config) == vine_module.SCREEN_KEEP + 1 == 4
+    assert _fit_edge(obs, 1, 300, config) == _full_search(obs, 1, 300, config)
 
 
 def _latent_pair(rho, n, seed, cuts=((0.0,), (0.0,)), continuous_v=False):
@@ -758,7 +817,8 @@ class TestBinaryEdges:
         fitted = _counting_fits(monkeypatch)
         config = FitConfig()
         assert _fit_edge(obs, 1, 700, config) == _full_search(obs, 1, 700, config)
-        assert len(fitted) == vine_module.SCREEN_KEEP
+        # three fits, four when both sides are discrete
+        assert len(fitted) == (3 if continuous_v else 4)
 
 
     def test_a_binary_side_conditioned_through_independence_stays_binary(self, monkeypatch):
@@ -1118,7 +1178,7 @@ class TestEdgeDedup:
         seen = []
 
         def counting(cop, obs, sides):
-            seen.append(obs.n)
+            seen.append(obs.u_plus.size)  # the combinations, before the row map
             return bicop_condition(cop, obs, sides)
 
         monkeypatch.setattr(vine_module, "bicop_condition", counting)
@@ -1365,3 +1425,63 @@ def test_fit_on_tied_rows_matches_the_row_traversal():
     assert [[fe.to_dict() for fe in tree] for tree in model.trees] == [
         [fe.to_dict() for fe in tree] for tree in want
     ]
+
+
+def _mapped_pair(obs, n, seed):
+    """``obs`` as the columns of an ``n``-row pair, each entry on at least
+    one row, and that pair expanded to its rows."""
+    m = obs.u_plus.size
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, n - m)]))
+    minus = (obs.u_minus if obs.u_disc else None, obs.v_minus if obs.v_disc else None)
+    disc = dict(u_disc=obs.u_disc, v_disc=obs.v_disc)
+    mapped = PairObs(obs.u_plus, obs.v_plus, *minus, **disc, rows=rows)
+    expanded = PairObs(
+        obs.u_plus[rows], obs.v_plus[rows], *(None if s is None else s[rows] for s in minus), **disc
+    )
+    return mapped, expanded
+
+
+@pytest.mark.parametrize("discrete", ["", "u", "v", "uv"], ids=lambda d: d or "continuous")
+def test_a_row_map_fits_bitwise_as_its_rows(discrete):
+    cop = Bicop("gumbel", 90, tau_to_param("gumbel", -0.4, 90))
+    mapped, expanded = _mapped_pair(_simulated_pair(cop, 150, discrete, seed=11), 500, seed=12)
+    assert mapped.n == expanded.n == 500
+    tau = empirical_tau(mapped)
+    assert tau == empirical_tau(expanded)
+    candidates = _edge_candidates(FitConfig().families, tau, discrete != "", False)
+    assert len(candidates) > 4
+    for fam, rot in candidates:
+        start = bicop_start(fam, rot, mapped, tau)
+        assert start == bicop_start(fam, rot, expanded, tau)
+        fitted = bicop_fit(fam, rot, mapped, start=start)
+        assert fitted == bicop_fit(fam, rot, expanded, start=start)
+        assert_array_equal(
+            bicop_contributions(fitted[0], mapped), bicop_contributions(fitted[0], expanded)
+        )
+        # conditioning stays on the columns; the row map takes it to the rows
+        on_columns, on_rows = bicop_condition(fitted[0], mapped), bicop_condition(fitted[0], expanded)
+        assert_array_equal(on_columns[0][mapped.rows], on_rows[0])
+        for side, want in zip(on_columns[1:], on_rows[1:]):
+            for got, part in zip(side, want):
+                if part is None:
+                    assert got is None
+                else:
+                    assert_array_equal(got[mapped.rows], part)
+    assert _fit_edge(mapped, 1, 500, FitConfig()) == _fit_edge(expanded, 1, 500, FitConfig())
+
+
+@pytest.mark.parametrize("discrete", ["", "u", "uv"], ids=lambda d: d or "continuous")
+def test_a_pair_without_a_row_map_is_its_own_rows(discrete):
+    cop = Bicop("frank", 0, tau_to_param("frank", 0.3))
+    obs = _simulated_pair(cop, 200, discrete, seed=13)
+    minus = (obs.u_minus if obs.u_disc else None, obs.v_minus if obs.v_disc else None)
+    identity = PairObs(
+        obs.u_plus, obs.v_plus, *minus, u_disc=obs.u_disc, v_disc=obs.v_disc, rows=np.arange(200)
+    )
+    assert obs.rows is None and obs.n == identity.n == 200
+    for a, b in zip(obs.midpoints(), identity.midpoints()):
+        assert_array_equal(a, b)
+    assert_array_equal(bicop_contributions(cop, obs), bicop_contributions(cop, identity))
+    assert bicop_loglik(cop, obs) == bicop_loglik(cop, identity)
+    assert _fit_edge(obs, 1, 200, FitConfig()) == _fit_edge(identity, 1, 200, FitConfig())
