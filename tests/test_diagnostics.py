@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,63 @@ class TestBootstrapEquivalence:
         assert res.lower == res.upper == res.observed == lower == upper
 
 
+#: ``float.hex`` of (lower, upper) per category for ``_golden_data()`` at
+#: seed 6, as computed in blocks of ``1 << 21`` cells (all 1000 replicates
+#: in one block; 3000 as 2995 and 5).
+GOLDEN_BANDS = {
+    1000: {
+        1: ("0x1.4a94b75e8a25dp-2", "0x1.10e52d86c71d3p-1"),
+        2: ("0x1.953ec93b0c226p-2", "0x1.1cc1438c5b0b4p-1"),
+        3: ("0x1.7b2176bada1fcp-2", "0x1.16f08800bb80cp-1"),
+    },
+    3000: {
+        1: ("0x1.4d3f9b4e43e52p-2", "0x1.0ff727a1e6726p-1"),
+        2: ("0x1.9426089b302b5p-2", "0x1.1cb4aca0f8766p-1"),
+        3: ("0x1.7d4a1e6838cd4p-2", "0x1.17e38591d93eep-1"),
+    },
+}
+
+
+def _golden_data():
+    return _cond_pair(700, 0.5, seed=11)
+
+
+def _traced_peak(fn):
+    """Peak bytes traced by ``tracemalloc`` (numpy reports its buffers) while
+    ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedBands:
+    @pytest.mark.parametrize("replicates", [1000, 3000])
+    def test_bands_keep_their_golden_bits(self, replicates):
+        x, y, z = _golden_data()
+        res = bootstrap_bands(x, y, z, replicates=replicates, seed=6)
+        bits = {cat: (res.lower[cat].hex(), res.upper[cat].hex()) for cat in res.categories}
+        assert bits == GOLDEN_BANDS[replicates]
+
+    def test_one_replicate_per_block_equals_the_default(self, monkeypatch):
+        x, y, z = _golden_data()
+        default = bootstrap_bands(x, y, z, replicates=1000, seed=6)
+        monkeypatch.setattr(diagnostics, "BLOCK_CELLS", x.size - 1)
+        assert bootstrap_bands(x, y, z, replicates=1000, seed=6) == default
+
+    def test_working_memory_does_not_grow_with_replicates(self):
+        x, y, z = _golden_data()
+        bootstrap_bands(x, y, z, replicates=100, seed=6)
+        peaks = {
+            k: _traced_peak(lambda: bootstrap_bands(x, y, z, replicates=k, seed=6))
+            for k in (1000, 3000)
+        }
+        assert peaks[1000] < 4e6
+        assert peaks[3000] <= 1.1 * peaks[1000]
+
+
 def _float_resample_spearman(x, y, counts):
     """Reference: rho of each usable resample from midranks and deviations in
     float halves."""
@@ -273,6 +331,17 @@ class TestBootstrapBands:
             bootstrap_bands(x, y, z, replicates=50)
         with pytest.raises(ValueError):
             bootstrap_bands(x, y, z, level=1.0)
+
+    @pytest.mark.parametrize("replicates", [1000.0, 150.5])
+    def test_rejects_non_integer_replicates(self, replicates):
+        x, y, z = _cond_pair(50, 0.2, seed=0)
+        with pytest.raises(ValueError, match="replicates"):
+            bootstrap_bands(x, y, z, replicates=replicates)
+
+    def test_accepts_a_numpy_integer_replicate_count(self):
+        x, y, z = _cond_pair(120, 0.3, seed=9)
+        res = bootstrap_bands(x, y, z, replicates=np.int64(200), seed=1)
+        assert res == bootstrap_bands(x, y, z, replicates=200, seed=1)
 
     @pytest.mark.parametrize("fn", [conditional_spearman, bootstrap_bands])
     def test_rejects_columns_of_unequal_length(self, fn):
