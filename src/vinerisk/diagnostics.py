@@ -93,18 +93,27 @@ class ConditionalRhoResult:
         return out
 
 
-def _midranks(values, counts) -> np.ndarray:
+def _ties(values) -> tuple:
+    """The tie layout of ``values`` that :func:`_midranks` reads: the stable
+    order sorting them, the last sorted position of each distinct value, and
+    each value's index among the distinct values.  It depends on the values
+    only, so a bands call computes it once per category and column."""
+    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    return np.argsort(group, kind="stable"), np.cumsum(sizes) - 1, group
+
+
+def _midranks(ties, counts) -> np.ndarray:
     """Twice the rank of each row's value within each resample, ties sharing
-    midranks, in the integer dtype of ``counts``.
+    midranks, in the integer dtype of ``counts``; ``ties`` is the values'
+    :func:`_ties`.
 
     ``counts[r, i]`` is how often resample ``r`` drew row ``i``.  A value
     drawn ``w`` times after ``c`` draws of smaller values spans ranks
     ``c+1 .. c+w`` and gets their mean, as ``scipy.stats.rankdata`` would
     give it in the expanded resample; twice that is ``c + (c + w) + 1``.
     """
-    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
-    order = np.argsort(group, kind="stable")
-    upto = np.cumsum(counts[:, order], axis=1, dtype=counts.dtype)[:, np.cumsum(sizes) - 1]
+    order, last, group = ties
+    upto = np.cumsum(counts[:, order], axis=1, dtype=counts.dtype)[:, last]
     below = np.zeros_like(upto)
     below[:, 1:] = upto[:, :-1]
     return (below + upto + 1)[:, group]
@@ -132,8 +141,9 @@ def _resample_counts(rng, n: int, k: int) -> np.ndarray:
     return counts.astype(np.int32 if n <= INT32_ROWS else np.int64)
 
 
-def _resample_spearman(x, y, counts) -> np.ndarray:
-    """Spearman's rho of ``(x, y)`` in each usable resample given by ``counts``.
+def _resample_spearman(x_ties, y_ties, counts) -> np.ndarray:
+    """Spearman's rho of ``(x, y)`` in each usable resample given by
+    ``counts``, from the columns' :func:`_ties`.
 
     Rho is the count-weighted Pearson correlation of midranks.  A resample
     is unusable when it holds fewer than ``MIN_CATEGORY_ROWS`` draws or
@@ -146,8 +156,8 @@ def _resample_spearman(x, y, counts) -> np.ndarray:
     unchanged to the bit.
     """
     draws = counts.sum(axis=1, dtype=counts.dtype)
-    dx = _midranks(x, counts) - (draws[:, None] + 1)
-    dy = _midranks(y, counts) - (draws[:, None] + 1)
+    dx = _midranks(x_ties, counts) - (draws[:, None] + 1)
+    dy = _midranks(y_ties, counts) - (draws[:, None] + 1)
     cx = counts * dx
     sxx = np.einsum("ij,ij->i", cx, dx, dtype=float)
     syy = np.einsum("ij,ij->i", counts * dy, dy, dtype=float)
@@ -175,7 +185,8 @@ def bootstrap_bands(
     cumulative counts over the category's sorted distinct values (the
     multinomial-weights form of the nonparametric bootstrap, Efron &
     Tibshirani 1993, ch. 6).  All replicates of a block are drawn and
-    computed in one vectorised pass.
+    computed in one vectorised pass, and each category's tie layout
+    (:func:`_ties`) is found once per call.
     """
     if not isinstance(replicates, (int, np.integer)):
         raise ValueError(f"replicates must be an integer, got {replicates!r}")
@@ -188,14 +199,14 @@ def bootstrap_bands(
     observed = conditional_spearman(x, y, z)
     cats = sorted(observed)
     rows = {cat: z == cat for cat in cats}
+    ties = {cat: (_ties(x[r]), _ties(y[r])) for cat, r in rows.items()}
     rng = np.random.default_rng(seed)
     draws: dict = {cat: [] for cat in cats}
     block = max(1, BLOCK_CELLS // max(n, 1))
     for start in range(0, replicates, block):
         counts = _resample_counts(rng, n, min(block, replicates - start))
         for cat in cats:
-            r = rows[cat]
-            draws[cat].append(_resample_spearman(x[r], y[r], counts[:, r]))
+            draws[cat].append(_resample_spearman(*ties[cat], counts[:, rows[cat]]))
     tail = (1.0 - level) / 2.0
     lower = {}
     upper = {}
