@@ -872,10 +872,11 @@ def tau_to_param(family: str, tau: float, rotation: int = 0) -> tuple:
 class PairObs:
     """Paired pseudo-observations on the copula scale.
 
-    For a discrete component the pair carries the CDF evaluated at the
-    observed code (``*_plus``) and just below it (``*_minus``); for a
-    continuous component the two coincide.  ``masses`` holds each discrete
-    side's code probability ``plus - minus``, floored at ``MASS_FLOOR``.
+    A side is discrete exactly when it is given a minus column, and
+    ``u_disc``/``v_disc`` say so: the CDF just below the observed code
+    (``*_minus``) beside the CDF at it (``*_plus``).  A continuous side's
+    minus is its plus column.  ``masses`` holds each discrete side's code
+    probability ``plus - minus``, floored at ``MASS_FLOOR``.
 
     ``rows`` is the row map: row ``i`` of the pair is entry ``rows[i]`` of
     the columns, so a vine edge holds its columns once per distinct
@@ -897,13 +898,14 @@ class PairObs:
     v_plus: np.ndarray
     u_minus: Optional[np.ndarray] = None
     v_minus: Optional[np.ndarray] = None
-    u_disc: bool = False
-    v_disc: bool = False
     rows: Optional[np.ndarray] = None
+    u_disc: bool = field(init=False)
+    v_disc: bool = field(init=False)
     masses: tuple = field(init=False, repr=False)
     kernel_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.u_disc, self.v_disc = self.u_minus is not None, self.v_minus is not None
         self.u_plus = _clip(self.u_plus)
         self.v_plus = _clip(self.v_plus)
         self.u_minus = self.u_plus if self.u_minus is None else _clip(self.u_minus)
@@ -1172,19 +1174,15 @@ def _search_interval(family: str, start: Bicop) -> tuple[float, float]:
 
 
 def bicop_fit(
-    family: str,
-    rotation: int,
-    obs: PairObs,
-    tau: Optional[float] = None,
-    start: Optional[tuple[Bicop, float]] = None,
+    family: str, rotation: int, obs: PairObs, start: Optional[tuple[Bicop, float]] = None
 ) -> tuple[Bicop, float]:
     """Maximum-likelihood fit of one family/rotation to paired pseudo-obs:
     ``(copula, loglik)``, the :func:`bicop_loglik` the search computed there.
 
-    The search starts from ``start``, the :func:`bicop_start` of this
-    family, rotation and ``obs`` when the caller already has it, and
-    otherwise computes that start for ``tau``.  A bounded Brent search then
-    fits the last parameter with the others held at the start:
+    The search starts from ``start``, a :func:`bicop_start` of this family,
+    rotation and ``obs``; without one it starts from the start at the
+    pair's empirical tau.  A bounded Brent search then fits the last
+    parameter with the others held at the start:
 
     - a one-parameter family searches the parameters whose Kendall tau is
       within ``TAU_HALF_WIDTH`` of the start's, clipped to the family's
@@ -1208,7 +1206,7 @@ def bicop_fit(
         )
     if family == "indep":
         return INDEP, bicop_loglik(INDEP, obs)
-    start_cop, start_ll = bicop_start(family, rotation, obs, tau) if start is None else start
+    start_cop, start_ll = bicop_start(family, rotation, obs) if start is None else start
     fixed = start_cop.params[:-1]
 
     def neg_ll(t):

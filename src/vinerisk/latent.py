@@ -12,11 +12,11 @@ Ordinal codes pass :func:`~vinerisk.data.ordinal_codes` first, so a code
 outside ``1..levels`` raises OrdinalOutOfRange instead of shifting the
 thresholds.
 The matrix computes each column's transforms once (:class:`LatentColumn`:
-an ordinal column's codes and thresholds, a continuous column's normal
-scores) and hands them to :func:`pairwise_latent_rho` for every pair it
-joins.  The assembled matrix is repaired to positive definiteness by
-eigenvalue clipping, and partial correlations are read off the inverse of
-its principal sub-matrices.
+whether it is ordinal, an ordinal column's codes and thresholds, a
+continuous column's normal scores) and hands them to
+:func:`pairwise_latent_rho` for every pair it joins.  The assembled matrix
+is repaired to positive definiteness by eigenvalue clipping, and partial
+correlations are read off the inverse of its principal sub-matrices.
 """
 
 from __future__ import annotations
@@ -87,12 +87,14 @@ def _thresholds(codes, levels: int) -> np.ndarray:
 
 
 class LatentColumn:
-    """One variable's transforms for its latent correlations, computed once:
-    an ordinal column's integer ``codes`` and ``thresholds``
-    (:func:`ordinal_thresholds`), or a continuous column's normal
+    """One variable's transforms for its latent correlations, computed once
+    from its values ``x`` and its ``spec``: ``is_ordinal``, and an ordinal
+    column's integer ``codes`` and ``thresholds``
+    (:func:`ordinal_thresholds`) or a continuous column's normal
     ``scores``.  ``n`` is the number of rows."""
 
     def __init__(self, x, spec):
+        self.is_ordinal = spec.is_ordinal
         if spec.is_ordinal:
             self.codes = ordinal_codes(x, spec.levels)
             self.thresholds = _thresholds(self.codes, spec.levels)
@@ -146,21 +148,18 @@ def _polychoric(codes1, thr1, codes2, thr2) -> float:
     return float(minimize_bounded(neg_ll, *_RHO_BOUNDS)[0])
 
 
-def pairwise_latent_rho(xi, spec_i, xj, spec_j) -> float:
-    """Latent correlation of one variable pair, dispatched on variable kinds.
-
-    ``xi`` and ``xj`` are the two columns' values, or their
-    :class:`LatentColumn` when the caller has it: the estimate, its checks
-    and its errors are the same either way.
+def pairwise_latent_rho(ci: LatentColumn, cj: LatentColumn) -> float:
+    """Latent correlation of two columns' :class:`LatentColumn`, dispatched
+    on whether each is ordinal: the estimate, its checks and its errors are
+    those of :func:`normal_scores_pearson`, :func:`polyserial_rho` (in
+    either order) or :func:`polychoric_rho` on the columns' values.
     """
-    ci = xi if isinstance(xi, LatentColumn) else LatentColumn(xi, spec_i)
-    cj = xj if isinstance(xj, LatentColumn) else LatentColumn(xj, spec_j)
     _check_rows(ci.n)
-    if spec_i.is_ordinal and spec_j.is_ordinal:
+    if ci.is_ordinal and cj.is_ordinal:
         return _polychoric(ci.codes, ci.thresholds, cj.codes, cj.thresholds)
-    if spec_i.is_ordinal:
+    if ci.is_ordinal:
         return _polyserial(cj.scores, ci.codes, ci.thresholds)
-    if spec_j.is_ordinal:
+    if cj.is_ordinal:
         return _polyserial(ci.scores, cj.codes, cj.thresholds)
     return _pearson(ci.scores, cj.scores)
 
@@ -189,8 +188,7 @@ def latent_correlation_matrix(ds: Dataset) -> np.ndarray:
     cols = [LatentColumn(ds.x[:, j], spec) for j, spec in enumerate(specs)] if d > 1 else []
     for i in range(d):
         for j in range(i + 1, d):
-            rho = pairwise_latent_rho(cols[i], specs[i], cols[j], specs[j])
-            m[i, j] = m[j, i] = rho
+            m[i, j] = m[j, i] = pairwise_latent_rho(cols[i], cols[j])
     return make_positive_definite(m)
 
 

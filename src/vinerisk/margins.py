@@ -199,7 +199,9 @@ class KernelMargin:
 
 
 def _gauss(z):
-    return np.exp(-0.5 * z * z)
+    # z * z overflows to inf for an extreme finite value, whose density is 0
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z)
 
 
 class EmpiricalMargin:

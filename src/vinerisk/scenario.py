@@ -48,6 +48,8 @@ class GridSpec:
     def linspace(cls, variable: str, lo: float, hi: float, points: int = 200):
         if not -np.inf < lo < hi < np.inf:
             raise ValueError("grid needs finite lo < hi")
+        if not isinstance(points, (int, np.integer)):
+            raise ValueError(f"grid points must be an integer, got {points!r}")
         if points < 2:
             raise ValueError("grid needs at least 2 points")
         return cls(variable=variable, lo=float(lo), hi=float(hi), points=int(points))

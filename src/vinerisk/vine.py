@@ -363,9 +363,7 @@ class _Columns:
                 plus, minus = plus[rows], None if minus is None else minus[rows]
             gathered.append((plus, minus))
         (up, ulo), (vp, vlo) = gathered
-        return PairObs(
-            up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None, rows=inverse
-        )
+        return PairObs(up, vp, ulo, vlo, rows=inverse)
 
     def _sides(self, edge: Edge) -> list:
         return [self._cols.get((j, edge.conditioning), self._unread) for j in edge.conditioned]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -387,17 +388,17 @@ def test_contributions_discrete_cases():
     vp, vm = np.array([0.8]), np.array([0.55])
 
     # discrete u, continuous v: difference of conditional CDFs over u's mass
-    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, u_disc=True)
+    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um)
     expected = np.log(cop.hfunc(up, vp, "1|2") - cop.hfunc(um, vp, "1|2")) - np.log(up - um)
     assert_allclose(bicop_contributions(cop, obs), expected, rtol=1e-10)
 
     # continuous u, discrete v
-    obs = PairObs(u_plus=up, v_plus=vp, v_minus=vm, v_disc=True)
+    obs = PairObs(u_plus=up, v_plus=vp, v_minus=vm)
     expected = np.log(cop.hfunc(up, vp, "2|1") - cop.hfunc(up, vm, "2|1")) - np.log(vp - vm)
     assert_allclose(bicop_contributions(cop, obs), expected, rtol=1e-10)
 
     # both discrete: rectangle probability over both masses
-    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm, u_disc=True, v_disc=True)
+    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm)
     rect = cop.cdf(up, vp) - cop.cdf(um, vp) - cop.cdf(up, vm) + cop.cdf(um, vm)
     expected = np.log(rect) - np.log(up - um) - np.log(vp - vm)
     assert_allclose(bicop_contributions(cop, obs), expected, rtol=1e-10)
@@ -413,8 +414,6 @@ def test_rectangle_probability_matches_monte_carlo():
         v_plus=np.array([vp]),
         u_minus=np.array([um]),
         v_minus=np.array([vm]),
-        u_disc=True,
-        v_disc=True,
     )
     rect = np.exp(bicop_contributions(cop, obs))[0] * (up - um) * (vp - vm)
     assert_allclose(rect, mc, atol=0.01)
@@ -448,8 +447,9 @@ def test_fit_studentt_recovers_rho():
 def test_fit_with_given_tau_is_bitwise_equal(family):
     s = make("gaussian", 0, 0.4).sample(400, np.random.default_rng(5))
     obs = PairObs(u_plus=s[:, 0], v_plus=s[:, 1])
-    given = bicop_fit(family, 0, obs, tau=empirical_tau(obs))
-    assert given == bicop_fit(family, 0, obs)
+    # a start at a given tau; independence has none and fits no parameter
+    start = None if family == "indep" else bicop_start(family, 0, obs, empirical_tau(obs))
+    assert bicop_fit(family, 0, obs, start=start) == bicop_fit(family, 0, obs)
 
 
 def _discretized_obs(family, rotation, u_disc, v_disc, n=300, levels=4, seed=17):
@@ -465,7 +465,7 @@ def _discretized_obs(family, rotation, u_disc, v_disc, n=300, levels=4, seed=17)
         else:
             sides.append((x, None))
     (up, um), (vp, vm) = sides
-    return PairObs(up, vp, um, vm, u_disc=u_disc, v_disc=v_disc)
+    return PairObs(up, vp, um, vm)
 
 
 _DISCRETENESS = [(False, False), (True, False), (False, True), (True, True)]
@@ -906,15 +906,15 @@ def test_contributions_equal_clipped_public_methods(family, rotation):
     log_mass_v = np.log(np.maximum(_clip(vp) - _clip(vm), MASS_FLOOR))
     obs = PairObs(u_plus=up, v_plus=vp)
     assert_array_equal(bicop_contributions(cop, obs), np.maximum(cop.logpdf(up, vp), LOG_FLOOR))
-    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, u_disc=True)
+    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um)
     diff = cop.hfunc(up, vp, "1|2") - cop.hfunc(um, vp, "1|2")
     want = np.log(np.maximum(diff, CONTRIB_FLOOR)) - log_mass_u
     assert_array_equal(bicop_contributions(cop, obs), want)
-    obs = PairObs(u_plus=up, v_plus=vp, v_minus=vm, v_disc=True)
+    obs = PairObs(u_plus=up, v_plus=vp, v_minus=vm)
     diff = cop.hfunc(up, vp, "2|1") - cop.hfunc(up, vm, "2|1")
     want = np.log(np.maximum(diff, CONTRIB_FLOOR)) - log_mass_v
     assert_array_equal(bicop_contributions(cop, obs), want)
-    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm, u_disc=True, v_disc=True)
+    obs = PairObs(u_plus=up, v_plus=vp, u_minus=um, v_minus=vm)
     rect = cop.cdf(up, vp) - cop.cdf(up, vm) - cop.cdf(um, vp) + cop.cdf(um, vm)
     want = np.log(np.maximum(rect, CONTRIB_FLOOR)) - log_mass_u - log_mass_v
     assert_array_equal(bicop_contributions(cop, obs), want)
@@ -999,8 +999,6 @@ def _step_reference(cop, ca, cb):
         v_plus=cb.up,
         u_minus=ca.lo if ca.disc else None,
         v_minus=cb.lo if cb.disc else None,
-        u_disc=ca.disc,
-        v_disc=cb.disc,
     )
     contrib = _contributions_reference(cop, obs)
     if ca.disc:
@@ -1075,8 +1073,6 @@ def test_condition_evaluates_each_copula_term_once(monkeypatch, u_disc, v_disc, 
         v_plus=vp,
         u_minus=ulo if u_disc else None,
         v_minus=vlo if v_disc else None,
-        u_disc=u_disc,
-        v_disc=v_disc,
     )
     bicop_condition(make("gumbel", 0, 0.5), obs)
     assert counts == calls
@@ -1090,8 +1086,6 @@ def test_independence_hands_each_side_on_unchanged(u_disc, v_disc):
         v_plus=vp,
         u_minus=ulo if u_disc else None,
         v_minus=vlo if v_disc else None,
-        u_disc=u_disc,
-        v_disc=v_disc,
     )
     contrib, u_given, v_given = bicop_condition(INDEP, obs)
     assert_array_equal(contrib, bicop_contributions(INDEP, obs))
@@ -1113,7 +1107,7 @@ def test_independence_keeps_a_binary_side_binary():
     a = np.digitize(z[:, 0], [0.0]) + 1.0
     b = np.digitize(z[:, 1], [-0.5, 0.5]) + 1.0
     ma, mb = OrdinalMargin.fit(a, 2), OrdinalMargin.fit(b, 3)
-    obs = PairObs(ma.cdf(a), mb.cdf(b), ma.cdf_left(a), mb.cdf_left(b), u_disc=True, v_disc=True)
+    obs = PairObs(ma.cdf(a), mb.cdf(b), ma.cdf_left(a), mb.cdf_left(b))
     _, (up, um), (vp, vm) = bicop_condition(INDEP, obs)
     assert np.unique(up).size == np.unique(um).size == 2
     assert np.unique(vp).size == np.unique(vm).size == 3
@@ -1494,7 +1488,7 @@ def test_prepared_kernels_equal_the_reference_formulas_to_the_bit(family, rotati
     vp[:4], vm[:4] = vp[[1, 0, 0, 1]], vm[[1, 0, 0, 1]]  # cross the EPS edges
 
     def pair(*memo_rotations):
-        out = PairObs(up, vp, um if u_disc else None, vm if v_disc else None, u_disc, v_disc)
+        out = PairObs(up, vp, um if u_disc else None, vm if v_disc else None)
         for r in memo_rotations:
             out.kernel_args(r)
         return out
@@ -1632,9 +1626,70 @@ def test_condition_reuses_the_transforms_of_the_likelihood(monkeypatch, u_disc, 
         return ndtri(x)
 
     (up, ulo), (vp, vlo) = _oracle_columns()
-    obs = PairObs(up, vp, ulo if u_disc else None, vlo if v_disc else None, u_disc, v_disc)
+    obs = PairObs(up, vp, ulo if u_disc else None, vlo if v_disc else None)
     cop = make("gaussian", 0, 0.4)
     bicop_module.bicop_loglik(cop, obs)
     monkeypatch.setattr(bicop_module, "ndtri", counted_ndtri)
     bicop_condition(cop, obs)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# a side is discrete exactly when it has a minus column
+# ---------------------------------------------------------------------------
+
+#: sha256 of ``_pair_digest``'s bytes, recorded when ``PairObs`` still took
+#: ``u_disc``/``v_disc`` flags beside the minus columns (passed as
+#: ``minus is not None``).
+_PAIR_DIGESTS = {
+    "continuous": "988a7978f29db8d72669392994d50f319437a4a9b887a6b377b5e09ee9046ed1",
+    "mixed": "3bd458c989e31808c0cb5c6befbcdaa72d4df4ce81e9c4af07e7eddcbac82df6",
+    "discrete": "05e374d95c16ecba134143dc1fe5e1291f00bb8391ace9e013e84f7b70aa0d4f",
+}
+
+
+def _pair_digest(kind):
+    """Kernel arguments of every rotation, contributions and conditioned
+    sides of seven copulas, and the empirical tau of a pair built from its
+    minus columns alone: ``v`` has 4 codes unless the pair is continuous,
+    ``u`` 3 codes when it is discrete."""
+    rng = np.random.default_rng(28)
+    u = rng.uniform(size=120)
+    v = 0.6 * u + 0.4 * rng.uniform(size=120)
+    um = vm = None
+    if kind == "discrete":
+        u, um = np.ceil(u * 3) / 3, (np.ceil(u * 3) - 1) / 3
+    if kind != "continuous":
+        v, vm = np.ceil(v * 4) / 4, (np.ceil(v * 4) - 1) / 4
+    obs = PairObs(u, v, um, vm)
+    assert (obs.u_disc, obs.v_disc) == (um is not None, vm is not None)
+    h = hashlib.sha256()
+    for rotation in ROTATIONS:
+        u_arg, v_arg, t = obs.kernel_args(rotation)
+        for a in (u_arg, v_arg, t.u, t.v):
+            h.update(a.tobytes())
+    cops = [INDEP, Bicop("gaussian", 0, (0.5,)), Bicop("clayton", 90, (1.5,))]
+    cops += [Bicop("gumbel", 180, (1.8,)), Bicop("frank", 0, (4.0,)), Bicop("joe", 270, (1.6,))]
+    if kind == "continuous":
+        cops.append(Bicop("studentt", 0, (0.4, 6.0)))
+    for cop in cops:
+        h.update(bicop_contributions(cop, obs).tobytes())
+        contrib, *given = bicop_condition(cop, obs)
+        h.update(contrib.tobytes())
+        for side in given:
+            for a in side:
+                h.update(b"-" if a is None else a.tobytes())
+    h.update(np.float64(empirical_tau(obs)).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", list(_PAIR_DIGESTS))
+def test_a_pair_from_its_minus_columns_gives_the_recorded_bytes(kind):
+    assert _pair_digest(kind) == _PAIR_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("flag", ["u_disc", "v_disc"])
+def test_discreteness_is_not_a_constructor_argument(flag):
+    u = np.linspace(0.1, 0.9, 20)
+    with pytest.raises(TypeError):
+        PairObs(u, u[::-1], **{flag: True})

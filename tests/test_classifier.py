@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,15 @@ class TestPosterior:
         priors = rng.dirichlet(np.ones(3))
         p = posteriors_from_logdensity(logf, priors)
         assert np.all(p >= 0) and np.all(p <= 1)
+        assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_an_extreme_finite_value_scores_without_a_warning(self):
+        model = fit_classifier(_two_class_data())
+        x = np.array([[1e300, 0.5], [-1e300, 0.5], [0.0, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = posterior(model, x)
+        assert np.all(np.isfinite(p))
         assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 

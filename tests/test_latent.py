@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,9 +8,11 @@ from scipy.special import ndtri
 from vinerisk.data import Dataset, Schema, VariableSpec
 from vinerisk.errors import DegenerateMargin, NearSingular, TooFewObservations
 from vinerisk.latent import (
+    LatentColumn,
     latent_correlation_matrix,
     make_positive_definite,
     normal_scores,
+    normal_scores_pearson,
     ordinal_thresholds,
     pairwise_latent_rho,
     partial_correlation,
@@ -59,15 +63,16 @@ def test_pairwise_dispatch_matches_specialized_estimators():
     ord3 = VariableSpec("b", "ordinal", 3)
     codes = np.digitize(z[:, 1], [-0.5, 0.5]) + 1.0
     direct = polyserial_rho(z[:, 0], codes, 3)
-    assert pairwise_latent_rho(z[:, 0], cont, codes, ord3) == direct
+    x, c = LatentColumn(z[:, 0], cont), LatentColumn(codes, ord3)
+    assert pairwise_latent_rho(x, c) == direct
     # symmetric when the ordinal comes first
-    assert pairwise_latent_rho(codes, ord3, z[:, 0], cont) == direct
+    assert pairwise_latent_rho(c, x) == direct
 
 
 def test_continuous_pair_uses_normal_scores():
     z = _latent_pair(0.8, 2000, 9)
     cont = VariableSpec("a", "continuous")
-    r = pairwise_latent_rho(z[:, 0], cont, z[:, 1], cont)
+    r = pairwise_latent_rho(LatentColumn(z[:, 0], cont), LatentColumn(z[:, 1], cont))
     assert abs(r - 0.8) < 0.05
 
 
@@ -220,8 +225,28 @@ def test_latent_matrix_equals_its_pairwise_estimates():
     want = np.eye(ds.d)
     for i in range(ds.d):
         for j in range(i + 1, ds.d):
-            want[i, j] = want[j, i] = pairwise_latent_rho(ds.x[:, i], specs[i], ds.x[:, j], specs[j])
+            want[i, j] = want[j, i] = pairwise_latent_rho(
+                LatentColumn(ds.x[:, i], specs[i]), LatentColumn(ds.x[:, j], specs[j])
+            )
     np.testing.assert_array_equal(latent_correlation_matrix(ds), make_positive_definite(want))
+
+
+def test_pairwise_estimate_is_the_public_estimator_of_its_kinds():
+    ds = _mixed_dataset(300, 8)
+    specs = ds.schema.variables
+    cols = [LatentColumn(ds.x[:, j], spec) for j, spec in enumerate(specs)]
+    assert [c.is_ordinal for c in cols] == [s.is_ordinal for s in specs]
+    for i, j in itertools.permutations(range(ds.d), 2):
+        (xi, si), (xj, sj) = (ds.x[:, i], specs[i]), (ds.x[:, j], specs[j])
+        if si.is_ordinal and sj.is_ordinal:
+            want = polychoric_rho(xi, si.levels, xj, sj.levels)
+        elif si.is_ordinal:
+            want = polyserial_rho(xj, xi, si.levels)
+        elif sj.is_ordinal:
+            want = polyserial_rho(xi, xj, sj.levels)
+        else:
+            want = normal_scores_pearson(xi, xj)
+        assert pairwise_latent_rho(cols[i], cols[j]) == want
 
 
 def test_latent_matrix_transforms_each_column_once(monkeypatch):

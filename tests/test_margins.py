@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -122,6 +124,12 @@ class TestKernelGrid:
         cdf, pdf = _exact(m, off)
         assert m.cdf(off).tobytes() == cdf.tobytes()
         assert m.pdf(off).tobytes() == pdf.tobytes()
+
+    def test_an_extreme_value_has_density_zero_without_a_warning(self, sample):
+        m = KernelMargin.fit(sample)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m.pdf(np.array([1e300, -1e300])).tolist() == [0.0, 0.0]
 
     def test_cdf_is_monotone_on_a_dense_sweep(self, sample):
         m = KernelMargin.fit(sample)

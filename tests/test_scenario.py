@@ -56,6 +56,7 @@ class TestGridSpec:
     def test_linspace_values(self):
         g = GridSpec.linspace("x1", -2.0, 2.0, 5)
         assert_allclose(g.values, [-2, -1, 0, 1, 2], atol=1e-15)
+        assert GridSpec.linspace("x1", -2.0, 2.0, np.int64(5)) == g
 
     def test_default_resolution(self):
         g = GridSpec.linspace("x1", 0.0, 1.0)
@@ -70,6 +71,9 @@ class TestGridSpec:
             GridSpec.linspace("x1", 1.0, 1.0)
         with pytest.raises(ValueError):
             GridSpec.linspace("x1", 0.0, 1.0, points=1)
+        for points in (2.5, 200.0):
+            with pytest.raises(ValueError, match="points must be an integer, got"):
+                GridSpec.linspace("x1", 0.0, 1.0, points)
         with pytest.raises(ValueError):
             GridSpec.level_list("x1", [])
         with pytest.raises(OrdinalOutOfRange):

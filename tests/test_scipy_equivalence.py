@@ -79,7 +79,7 @@ def test_empirical_tau_of_discrete_midpoints_is_scipys():
             other = rng.integers(1, levels + 1, n)
             u_plus, u_minus = (cum[codes], cum[codes - 1]) if u_disc else (cont, None)
             v_plus, v_minus = (cum[other], cum[other - 1]) if v_disc else (cont, None)
-            obs = PairObs(u_plus, v_plus, u_minus, v_minus, u_disc, v_disc)
+            obs = PairObs(u_plus, v_plus, u_minus, v_minus)
             want = stats.kendalltau(*obs.midpoints()).statistic
             assert _bits(empirical_tau(obs)) == _bits(want)
 

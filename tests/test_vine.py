@@ -449,7 +449,7 @@ class TestFitVine:
             else:
                 sides.append((stats.rankdata(col) / (col.size + 1), None))
         (up, um), (vp, vm) = sides
-        _fit_edge(PairObs(up, vp, um, vm, u_disc, v_disc), 1, 400, FitConfig())
+        _fit_edge(PairObs(up, vp, um, vm), 1, 400, FitConfig())
         assert fits and len(rotations) >= 2
         assert len(built) == len(rotations)
 
@@ -517,7 +517,7 @@ def _full_search(obs, level, n, config):
         return best
     for fam, rot in _edge_candidates(config.families, tau, obs.u_disc or obs.v_disc, False):
         try:
-            cop, ll = bicop_fit(fam, rot, obs, tau=tau)
+            cop, ll = bicop_fit(fam, rot, obs, start=bicop_start(fam, rot, obs, tau))
         except (ValueError, FloatingPointError):
             continue
         score = -2.0 * ll + edge_penalty(level, cop.npar, n, config.psi0, False)
@@ -538,7 +538,7 @@ def _simulated_pair(cop, n, discrete, seed, levels=5):
         else:
             sides.append((s[:, j], None))
     (up, um), (vp, vm) = sides
-    return PairObs(up, vp, um, vm, u_disc="u" in discrete, v_disc="v" in discrete)
+    return PairObs(up, vp, um, vm)
 
 
 _SCREEN_CASES = [(f, 0, sign) for f in ("gaussian", "studentt", "frank") for sign in (1, -1)] + [
@@ -739,7 +739,7 @@ def _latent_pair(rho, n, seed, cuts=((0.0,), (0.0,)), continuous_v=False):
         margin = OrdinalMargin.fit(codes, len(cut) + 1)
         sides.append((margin.cdf(codes), margin.cdf_left(codes)))
     (up, um), (vp, vm) = sides
-    return PairObs(up, vp, um, vm, u_disc=True, v_disc=vm is not None)
+    return PairObs(up, vp, um, vm)
 
 
 def _counting_fits(monkeypatch):
@@ -802,7 +802,7 @@ class TestBinaryEdges:
         codes = np.where(obs.v_plus == obs.v_plus.min(), 2.0, 4.0)
         margin = OrdinalMargin.fit(codes, 5)
         v_plus, v_minus = margin.cdf(codes), margin.cdf_left(codes)
-        obs = PairObs(obs.u_plus, v_plus, obs.u_minus, v_minus, u_disc=True, v_disc=True)
+        obs = PairObs(obs.u_plus, v_plus, obs.u_minus, v_minus)
         fitted = _counting_fits(monkeypatch)
         _fit_edge(obs, 1, 700, FitConfig())
         assert fitted == ["gaussian"]
@@ -1075,7 +1075,7 @@ def _traverse_rows(model, x):
     for fe in model.all_edges():
         (a, b), cond = fe.edge.conditioned, fe.edge.conditioning
         (up, ulo), (vp, vlo) = cols[(a, cond)], cols[(b, cond)]
-        obs = PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None)
+        obs = PairObs(up, vp, ulo, vlo)
         contrib, cols[(a, cond | {b})], cols[(b, cond | {a})] = bicop_condition(fe.bicop, obs)
         logf += contrib
     return logf
@@ -1369,7 +1369,7 @@ def _with_side(obs, side, plus):
     """``obs`` with one continuous side's values replaced by ``plus``."""
     u_plus, v_plus = (plus, obs.v_plus) if side == 0 else (obs.u_plus, plus)
     minus = (obs.u_minus if obs.u_disc else None, obs.v_minus if obs.v_disc else None)
-    return PairObs(u_plus, v_plus, *minus, u_disc=obs.u_disc, v_disc=obs.v_disc)
+    return PairObs(u_plus, v_plus, *minus)
 
 
 @pytest.mark.parametrize("u_disc,v_disc", [(False, False), (True, False), (False, True)])
@@ -1377,7 +1377,7 @@ def test_independence_ignores_the_values_of_a_continuous_side(u_disc, v_disc):
     rng = np.random.default_rng(12)
     up, vp = rng.uniform(size=(2, 200))
     ulo, vlo = up * rng.uniform(size=200), vp * rng.uniform(size=200)
-    obs = PairObs(up, vp, ulo if u_disc else None, vlo if v_disc else None, u_disc, v_disc)
+    obs = PairObs(up, vp, ulo if u_disc else None, vlo if v_disc else None)
     contrib, *given = bicop_condition(INDEP, obs)
     for side in [s for s, disc in enumerate((u_disc, v_disc)) if not disc]:
         for constant in (EPS, 0.3, 0.5, 1.0 - EPS):
@@ -1401,7 +1401,7 @@ def _fit_rows(x, margins, structure, config):
         for edge in tree:
             (a, b), cond = edge.conditioned, edge.conditioning
             (up, ulo), (vp, vlo) = cols[(a, cond)], cols[(b, cond)]
-            obs = PairObs(up, vp, ulo, vlo, u_disc=ulo is not None, v_disc=vlo is not None)
+            obs = PairObs(up, vp, ulo, vlo)
             fe = FittedEdge(edge, *_fit_edge(obs, level, n, config))
             _, cols[(a, cond | {b})], cols[(b, cond | {a})] = bicop_condition(fe.bicop, obs)
             fitted.append(fe)
@@ -1434,10 +1434,9 @@ def _mapped_pair(obs, n, seed):
     rng = np.random.default_rng(seed)
     rows = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, n - m)]))
     minus = (obs.u_minus if obs.u_disc else None, obs.v_minus if obs.v_disc else None)
-    disc = dict(u_disc=obs.u_disc, v_disc=obs.v_disc)
-    mapped = PairObs(obs.u_plus, obs.v_plus, *minus, **disc, rows=rows)
+    mapped = PairObs(obs.u_plus, obs.v_plus, *minus, rows=rows)
     expanded = PairObs(
-        obs.u_plus[rows], obs.v_plus[rows], *(None if s is None else s[rows] for s in minus), **disc
+        obs.u_plus[rows], obs.v_plus[rows], *(None if s is None else s[rows] for s in minus)
     )
     return mapped, expanded
 
@@ -1476,9 +1475,7 @@ def test_a_pair_without_a_row_map_is_its_own_rows(discrete):
     cop = Bicop("frank", 0, tau_to_param("frank", 0.3))
     obs = _simulated_pair(cop, 200, discrete, seed=13)
     minus = (obs.u_minus if obs.u_disc else None, obs.v_minus if obs.v_disc else None)
-    identity = PairObs(
-        obs.u_plus, obs.v_plus, *minus, u_disc=obs.u_disc, v_disc=obs.v_disc, rows=np.arange(200)
-    )
+    identity = PairObs(obs.u_plus, obs.v_plus, *minus, rows=np.arange(200))
     assert obs.rows is None and obs.n == identity.n == 200
     for a, b in zip(obs.midpoints(), identity.midpoints()):
         assert_array_equal(a, b)
